@@ -30,6 +30,12 @@ def max_dim() -> int:
         return 32
 
 
+def check_dim(n: int):
+    """Raise DimensionMismatch when ``n`` exceeds ``max_dim()``."""
+    if n > max_dim():
+        raise DimensionMismatch(f"dimension {n} exceeds HOMALG_MAX_DIM={max_dim()}")
+
+
 class Algebra:
     """Finite-dimensional algebra given by its structure tensor."""
 
@@ -47,10 +53,7 @@ class Algebra:
     def __init__(self, field: Field, tensor, labels=None):
         tensor = tuple(tuple(tuple(col) for col in row) for row in tensor)
         n = len(tensor)
-        if n > max_dim():
-            raise DimensionMismatch(
-                f"dimension {n} exceeds HOMALG_MAX_DIM={max_dim()}"
-            )
+        check_dim(n)
         for row in tensor:
             if len(row) != n or any(len(col) != n for col in row):
                 raise InvariantViolation(f"structure tensor is not {n}x{n}x{n}")

@@ -11,16 +11,33 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# Deterministic Miller-Rabin bases: these twelve primes decide primality
+# exactly for every integer below 2**64 (moduli are capped there).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MAX_MODULUS = 1 << 64
+
+
 def _is_prime(p: int) -> bool:
+    """Exact primality test for ``p < 2**64``."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -101,6 +118,8 @@ class PrimeField(Field):
     char: int
 
     def __init__(self, p: int):
+        if p >= _MAX_MODULUS:
+            raise ValueError(f"modulus {p} is not below 2**64")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p

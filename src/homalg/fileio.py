@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from homalg.algebra import Algebra, HomAlgebra, InvolutiveAlgebra
+from homalg.algebra import Algebra, HomAlgebra, InvolutiveAlgebra, check_dim
 from homalg.errors import InvariantViolation, ParseError
 from homalg.fields import Field, field_from_json
 
@@ -56,6 +56,7 @@ def doc_to_algebra(doc: dict):
     dim = doc.get("dim")
     if not isinstance(dim, int) or dim < 1:
         raise ParseError(f"dim must be a positive integer, got {dim!r}")
+    check_dim(dim)  # before the dim^3 tensor is allocated
     labels = doc.get("basis")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != dim:

@@ -20,6 +20,8 @@ from homalg.fields import Field, PrimeField, QQ
 
 # modulus for the rank certificate used to short-circuit rational elimination
 _CERT_PRIME = 2147483647
+# rows buffered per modular flush, and per exact pass over the Q row pool
+_CHUNK = 384
 
 
 def check_same_field(f1: Field, f2: Field):
@@ -182,7 +184,7 @@ def unflatten_matrix(field: Field, n: int, vec) -> Matrix:
     return Matrix(field, [vec[i * n : (i + 1) * n] for i in range(n)])
 
 
-# -- raw row <-> integer row conversion (Q path) ------------------------------
+# -- elimination: Q rows as integer rows, the kernel choice, nullspaces ------
 
 
 def _q_row_to_int(row) -> list:
@@ -210,6 +212,34 @@ def _int_rref_to_q(rows, pivots):
     return out
 
 
+def _reduce(field: Field, rows):
+    """Canonical RREF of raw-scalar rows: ``(nonzero_rows, pivots)`` with
+    pivot entries 1 in field scalars.  The one place that picks the kernel:
+    ``rref_fp`` modulo p, or ``rref_int`` on denominator-cleared rows over Q."""
+    if isinstance(field, PrimeField):
+        p = field.p
+        return kernels.rref_fp([[v % p for v in r] for r in rows], p)
+    red, pivots = kernels.rref_int([_q_row_to_int(r) for r in rows])
+    return _int_rref_to_q(red, pivots), pivots
+
+
+def _nullspace_from_rref(field: Field, rows, pivots, ncols):
+    """One nullspace vector per free column f of RREF rows with pivot
+    entries 1: e_f minus row[f] at each pivot column."""
+    pivset = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        v = [field.zero] * ncols
+        v[f] = field.one
+        for row, c in zip(rows, pivots):
+            if row[f]:
+                v[c] = field.neg(row[f])
+        basis.append(v)
+    return basis
+
+
 class NullspaceSolver:
     """Accumulates homogeneous constraint rows and solves for the exact right
     nullspace.
@@ -222,10 +252,9 @@ class NullspaceSolver:
     elimination only runs when the certificate leaves room for a kernel.
     """
 
-    def __init__(self, field: Field, ncols: int, chunk: int = 384):
+    def __init__(self, field: Field, ncols: int):
         self.field = field
         self.ncols = ncols
-        self.chunk = chunk
         self._rational = field == QQ
         self._seen: set = set()
         self._pending: list = []
@@ -267,7 +296,7 @@ class NullspaceSolver:
         self._seen.add(key)
         self._pool.append(irow)
         self._pending.append([v % _CERT_PRIME for v in irow])
-        if len(self._pending) >= self.chunk:
+        if len(self._pending) >= _CHUNK:
             self._flush()
 
     def _push_fp(self, row):
@@ -278,7 +307,7 @@ class NullspaceSolver:
             return
         self._seen.add(key)
         self._pending.append(row)
-        if len(self._pending) >= self.chunk:
+        if len(self._pending) >= _CHUNK:
             self._flush()
 
     def _flush(self):
@@ -300,48 +329,16 @@ class NullspaceSolver:
         if self._rational:
             active: list = []
             pivots: list = []
-            n = len(self._pool)
-            for start in range(0, n, self.chunk):
-                rows = active + [list(r) for r in self._pool[start : start + self.chunk]]
+            for start in range(0, len(self._pool), _CHUNK):
+                rows = active + [list(r) for r in self._pool[start : start + _CHUNK]]
                 active, pivots = kernels.rref_int(rows)
                 if len(pivots) == self.ncols:
                     return Subspace.zero(self.field, self.ncols)
-            basis = _nullspace_from_rref_q(active, pivots, self.ncols)
+            red = _int_rref_to_q(active, pivots)
         else:
-            basis = _nullspace_from_rref_fp(
-                self.field, self._active, self._pivots, self.ncols
-            )
+            red, pivots = self._active, self._pivots
+        basis = _nullspace_from_rref(self.field, red, pivots, self.ncols)
         return Subspace.from_rows(self.field, self.ncols, basis)
-
-
-def _nullspace_from_rref_q(int_rows, pivots, ncols):
-    pivset = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, c in zip(int_rows, pivots):
-            if row[f]:
-                v[c] = Fraction(-row[f], row[c])
-        basis.append(v)
-    return basis
-
-
-def _nullspace_from_rref_fp(field, rows, pivots, ncols):
-    pivset = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = [0] * ncols
-        v[f] = field.one
-        for row, c in zip(rows, pivots):
-            if row[f]:
-                v[c] = field.neg(row[f])
-        basis.append(v)
-    return basis
 
 
 # -- public operations ---------------------------------------------------------
@@ -356,13 +353,7 @@ def rref(m: Matrix):
     field = m.field
     if m.nrows == 0 or m.ncols == 0:
         return m, ()
-    if isinstance(field, PrimeField):
-        rows = [[v % field.p for v in r] for r in m.rows]
-        red, pivots = kernels.rref_fp(rows, field.p)
-    else:
-        rows = [_q_row_to_int(r) for r in m.rows]
-        red_int, pivots = kernels.rref_int(rows)
-        red = _int_rref_to_q(red_int, pivots)
+    red, pivots = _reduce(field, m.rows)
     pad = [[field.zero] * m.ncols for _ in range(m.nrows - len(red))]
     return Matrix(field, [list(r) for r in red] + pad), tuple(pivots)
 
@@ -384,23 +375,12 @@ def solve_affine(m: Matrix, b) -> "AffineSet":
         raise DimensionMismatch(f"{m.nrows} rows vs rhs of length {len(b)}")
     field = m.field
     n = m.ncols
-    aug_rows = [list(r) + [bv] for r, bv in zip(m.rows, b)]
-    if isinstance(field, PrimeField):
-        rows = [[v % field.p for v in r] for r in aug_rows]
-        red, pivots = kernels.rref_fp(rows, field.p)
-        rational = False
-    else:
-        rows = [_q_row_to_int(r) for r in aug_rows]
-        red, pivots = kernels.rref_int(rows)
-        rational = True
+    red, pivots = _reduce(field, [list(r) + [bv] for r, bv in zip(m.rows, b)])
     if n in pivots:
         return AffineSet.empty_set(field, n)
     particular = [field.zero] * n
     for row, c in zip(red, pivots):
-        if rational:
-            particular[c] = Fraction(row[n], row[c])
-        else:
-            particular[c] = field.div(row[n], row[c])
+        particular[c] = row[n]
     return AffineSet(field, n, tuple(particular), kernel(m))
 
 
@@ -438,13 +418,7 @@ class Subspace:
                 )
         if not rows:
             return cls.zero(field, ambient_dim)
-        if isinstance(field, PrimeField):
-            red, pivots = kernels.rref_fp(
-                [[v % field.p for v in r] for r in rows], field.p
-            )
-        else:
-            red_int, pivots = kernels.rref_int([_q_row_to_int(r) for r in rows])
-            red = _int_rref_to_q(red_int, pivots)
+        red, pivots = _reduce(field, rows)
         return cls(field, ambient_dim, Matrix(field, red), pivots)
 
     @classmethod

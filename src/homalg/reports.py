@@ -2,8 +2,7 @@
 
 All reports are deterministic: canonical subspace bases, sorted JSON keys,
 entries ordered by name.  Identical input and tool version give byte-identical
-output regardless of the kernel backend (both backends produce the same
-canonical forms).
+output.
 """
 
 from __future__ import annotations

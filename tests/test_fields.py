@@ -1,8 +1,9 @@
 from fractions import Fraction as F
+from time import perf_counter
 
 import pytest
 
-from homalg.fields import GF, QQ, field_from_json
+from homalg.fields import GF, QQ, _is_prime, field_from_json
 
 
 def test_rational_parse_and_format():
@@ -36,6 +37,36 @@ def test_prime_field_rejects_composite():
         GF(6)
     with pytest.raises(ValueError):
         GF(1)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**4) if _is_prime(n)] == [
+        n for n in range(10**4) if _trial_division(n)
+    ]
+
+
+def test_is_prime_rejects_pseudoprimes():
+    assert not _is_prime(561)  # Carmichael number
+    assert not _is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    with pytest.raises(ValueError):
+        GF(3215031751)
+
+
+def test_large_prime_modulus_is_fast():
+    start = perf_counter()
+    f = GF(2**61 - 1)
+    assert perf_counter() - start < 0.5
+    assert f.mul(2**60, 2) == 1
+
+
+def test_modulus_at_or_above_2_64_rejected():
+    for p in (2**64, 2**64 + 13, 2**89 - 1):  # 2**64 + 13 and 2**89 - 1 are prime
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            GF(p)
 
 
 def test_field_equality_and_json():

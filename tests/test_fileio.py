@@ -12,7 +12,7 @@ from homalg.constructions import (
     random_algebra,
     truncated_poly,
 )
-from homalg.errors import InvariantViolation, ParseError
+from homalg.errors import DimensionMismatch, InvariantViolation, ParseError
 from homalg.fields import GF, QQ
 from homalg.fileio import algebra_to_doc, doc_to_algebra, dumps, emit, parse, parse_text
 
@@ -85,8 +85,17 @@ def test_duplicate_key_rejected():
 
 
 def test_bad_prime_rejected():
-    doc = {"format_version": 1, "field": {"Fp": 6}, "dim": 1, "structure": []}
-    with pytest.raises(InvariantViolation):
+    for p in (6, 2**64 + 13):  # composite; prime but above the 2**64 cap
+        doc = {"format_version": 1, "field": {"Fp": p}, "dim": 1, "structure": []}
+        with pytest.raises(InvariantViolation):
+            doc_to_algebra(doc)
+
+
+def test_dimension_cap_checked_before_structure(monkeypatch):
+    # the cap must fire before the dim^3 tensor exists or any entry is read
+    monkeypatch.setenv("HOMALG_MAX_DIM", "2")
+    doc = {"format_version": 1, "field": "Q", "dim": 3, "structure": ["bad"]}
+    with pytest.raises(DimensionMismatch):
         doc_to_algebra(doc)
 
 

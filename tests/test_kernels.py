@@ -1,48 +1,93 @@
-"""Backend parity: the compiled and pure row-reduction kernels must return
-identical canonical output on identical input."""
+"""Row-reduction kernel contracts: ascending pivots, fully reduced rows,
+normalized pivot entries, and every input row in the span of the output."""
 
 import random
+from fractions import Fraction
+from math import gcd
 
-from homalg import _pykernels, kernels
+from homalg import kernels
 
 
 def _random_int_rows(rng, nrows, ncols, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(ncols)] for _ in range(nrows)]
 
 
+def _check_echelon(rows, pivots):
+    """Pivots ascend, each row is zero left of its pivot, and every pivot
+    column is zero in every other row."""
+    assert len(rows) == len(pivots)
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for i, (row, c) in enumerate(zip(rows, pivots)):
+        assert row[c] != 0
+        assert not any(row[:c])
+        for j, other in enumerate(rows):
+            if j != i:
+                assert other[c] == 0
+
+
+def _reduces_to_zero(row, red, pivots, div, sub):
+    r = list(row)
+    for prow, c in zip(red, pivots):
+        coef = div(r[c], prow[c])
+        if coef:
+            r = [sub(x, coef * y) for x, y in zip(r, prow)]
+    return not any(r)
+
+
+def _check_fp(rows, p):
+    red, pivots = kernels.rref_fp([list(r) for r in rows], p)
+    _check_echelon(red, pivots)
+    for row, c in zip(red, pivots):
+        assert row[c] == 1
+        assert all(0 <= v < p for v in row)
+    for row in rows:
+        assert _reduces_to_zero(
+            row, red, pivots, lambda a, b: a * pow(b, -1, p) % p, lambda a, b: (a - b) % p
+        )
+    return red, pivots
+
+
+def _check_int(rows):
+    red, pivots = kernels.rref_int([list(r) for r in rows])
+    _check_echelon(red, pivots)
+    for row, c in zip(red, pivots):
+        assert row[c] > 0
+        content = 0
+        for v in row:
+            content = gcd(content, v)
+        assert content == 1
+    for row in rows:
+        assert _reduces_to_zero(row, red, pivots, Fraction, lambda a, b: a - b)
+    return red, pivots
+
+
 def test_backend_reported():
-    assert kernels.BACKEND in ("compiled", "pure-python")
+    assert kernels.BACKEND == "pure-python"
 
 
-def test_rref_fp_parity():
+def test_rref_fp_contract():
     rng = random.Random(1234)
     for trial in range(150):
         p = rng.choice([2, 3, 5, 7, 65521])
         nrows = rng.randint(1, 8)
         ncols = rng.randint(1, 8)
         rows = [[v % p for v in r] for r in _random_int_rows(rng, nrows, ncols)]
-        a = kernels.rref_fp([list(r) for r in rows], p)
-        b = _pykernels.rref_fp([list(r) for r in rows], p)
-        assert a == b
+        _check_fp(rows, p)
 
 
-def test_rref_int_parity():
+def test_rref_int_contract():
     rng = random.Random(99)
     for trial in range(150):
         nrows = rng.randint(1, 8)
         ncols = rng.randint(1, 8)
-        rows = _random_int_rows(rng, nrows, ncols, -30, 30)
-        a = kernels.rref_int([list(r) for r in rows])
-        b = _pykernels.rref_int([list(r) for r in rows])
-        assert a == b
+        _check_int(_random_int_rows(rng, nrows, ncols, -30, 30))
 
 
 def test_rref_int_big_entries():
     rng = random.Random(7)
     rows = [[rng.randint(-(10**25), 10**25) for _ in range(5)] for _ in range(6)]
-    a = kernels.rref_int([list(r) for r in rows])
-    b = _pykernels.rref_int([list(r) for r in rows])
-    assert a == b
+    red, pivots = _check_int(rows)
+    assert pivots == [0, 1, 2, 3, 4]
 
 
 def test_rref_int_primitive_rows():
@@ -51,13 +96,13 @@ def test_rref_int_primitive_rows():
     assert pivots == [0]
 
 
-def test_rref_fp_large_modulus_falls_back():
-    # above the int64-safe bound the compiled backend delegates to pure
+def test_rref_fp_large_modulus():
+    # residues above 2**31: products no longer fit a signed 64-bit word
     p = (1 << 31) + 11  # prime
-    rows = [[1, p - 1], [2, 3]]
-    a = kernels.rref_fp([list(r) for r in rows], p)
-    b = _pykernels.rref_fp([list(r) for r in rows], p)
-    assert a == b
+    got = _check_fp([[1, p - 1], [2, 3]], p)
+    assert got == ([[1, 0], [0, 1]], [0, 1])
+    got = _check_fp([[3, 6], [p - 1, p - 2]], p)
+    assert got == ([[1, 2]], [0])
 
 
 def test_row_primitive_int():
