@@ -24,10 +24,13 @@ from homalg.linalg import (
 
 def max_dim() -> int:
     """Dimension guard for accidental huge solves (twist systems are n^4 x n^2)."""
+    text = os.environ.get("HOMALG_MAX_DIM", "32")
     try:
-        return int(os.environ.get("HOMALG_MAX_DIM", "32"))
-    except ValueError:
-        return 32
+        return int(text)
+    except ValueError as exc:
+        raise DimensionMismatch(
+            f"HOMALG_MAX_DIM must be an integer, got {text!r}"
+        ) from exc
 
 
 def check_dim(n: int):

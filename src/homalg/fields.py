@@ -182,5 +182,8 @@ def field_from_json(obj) -> Field:
     if obj == "Q":
         return QQ
     if isinstance(obj, dict) and set(obj) == {"Fp"}:
-        return GF(int(obj["Fp"]))
+        p = obj["Fp"]
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise ValueError(f"modulus must be an integer, got {p!r}")
+        return GF(p)
     raise ValueError(f"unrecognized field descriptor {obj!r}")

@@ -4,6 +4,9 @@ verification machinery.
 
 Everything here reduces to exact kernel computations.  The right-sided
 operations are implemented once, on the opposite algebra, and re-labeled.
+The solvers returning a subspace are memoized per algebra value in bounded
+lru caches, so each result must stay immutable; nothing returning an Algebra
+is cached, because Algebra equality ignores the basis labels.
 """
 
 from __future__ import annotations
@@ -138,6 +141,7 @@ def _feed_block(solver, rows):
         solver.add_dense(row)
 
 
+@lru_cache(maxsize=32)
 def hu_t(a: Algebra, side: str = "left") -> Subspace:
     """Multipliers whose one-sided multiplication operator is a twist making
     the product hom-associative; a linear solve in the multiplier."""
@@ -168,6 +172,7 @@ def hu_t(a: Algebra, side: str = "left") -> Subspace:
     return solver.solve()
 
 
+@lru_cache(maxsize=32)
 def ac_l_subspace(a: Algebra) -> Subspace:
     """Elements a with L_a commuting with every L_x and L_{ax} L_y = L_a
     L_{xy}; defined without any unitality assumption."""
@@ -216,6 +221,7 @@ class AcOneSided:
     split_ok: bool
 
 
+@lru_cache(maxsize=32)
 def ac_one_sided(a: Algebra, side: str = "left") -> AcOneSided:
     """The one-sided multiplier subspace, its unity-stable subalgebra, and
     the direct-sum split against the annihilator.
@@ -248,6 +254,7 @@ def ac_one_sided(a: Algebra, side: str = "left") -> AcOneSided:
     return AcOneSided("left", unity, ac, ac_unit, ann, split_ok)
 
 
+@lru_cache(maxsize=32)
 def hu_n(a: Algebra, variant: str = "two_sided") -> Subspace:
     """Formula-defined hom-unity subspaces (meets of center/centralizer,
     nuclei, and annihilators of the associator span)."""

@@ -2,12 +2,15 @@
 spans of products/commutators/associators, unity sets, idempotent search.
 
 Every "for all x in S" condition is imposed on a basis of S only; bilinearity
-or trilinearity of the defining operator makes this exact.
+or trilinearity of the defining operator makes this exact.  The subspace and
+unity solvers are memoized per argument value in bounded lru caches, so their
+results must stay immutable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iter_product
 
 from homalg.algebra import Algebra
@@ -47,6 +50,7 @@ def _check_subspace(a: Algebra, s: Subspace):
         raise DimensionMismatch(f"subspace ambient {s.ambient_dim} vs dim {a.dim}")
 
 
+@lru_cache(maxsize=64)
 def centralizer(a: Algebra, s: Subspace) -> Subspace:
     """Elements commuting with everything in s."""
     _check_subspace(a, s)
@@ -60,6 +64,7 @@ def center(a: Algebra) -> Subspace:
     return centralizer(a, Subspace.full(a.field, a.dim))
 
 
+@lru_cache(maxsize=64)
 def nucleus(a: Algebra, slot: str = "full", relative_to: Subspace | None = None) -> Subspace:
     """Elements associating with all pairs from ``relative_to`` in the given
     slot ("left", "middle", "right") or in all three ("full")."""
@@ -95,6 +100,7 @@ def center_and_nucleus(a: Algebra) -> Subspace:
     return meet(center(a), nucleus(a, "full"))
 
 
+@lru_cache(maxsize=64)
 def annihilator(a: Algebra, s: Subspace, side: str = "left") -> Subspace:
     """left: v with v*b = 0 for all b in s; right: b*v = 0; both: meet."""
     _check_subspace(a, s)
@@ -111,6 +117,7 @@ def annihilator(a: Algebra, s: Subspace, side: str = "left") -> Subspace:
     return _solve_blocks(a, blocks())
 
 
+@lru_cache(maxsize=64)
 def span_of(a: Algebra, kind: str) -> Subspace:
     """Row space of all basis products, commutators, or associators."""
     n = a.dim
@@ -134,6 +141,7 @@ def span_of(a: Algebra, kind: str) -> Subspace:
     return Subspace.from_rows(a.field, n, rows)
 
 
+@lru_cache(maxsize=64)
 def find_unities(a: Algebra, side: str = "left") -> AffineSet:
     """Solve for one-sided or two-sided unities as a linear system in the
     candidate element; empty affine set = non-unital on that side.  The

@@ -4,9 +4,30 @@ from fractions import Fraction as F
 
 import pytest
 
+from homalg import homstruct, subspaces
 from homalg.algebra import Algebra
 from homalg.constructions import cayley_dickson_chain
 from homalg.fields import GF, QQ
+
+# every solver memoized per argument value in a bounded lru_cache
+MEMOIZED = (
+    subspaces.centralizer,
+    subspaces.nucleus,
+    subspaces.annihilator,
+    subspaces.span_of,
+    subspaces.find_unities,
+    homstruct.twist_space,
+    homstruct._op_family,
+    homstruct.hu_t,
+    homstruct.ac_l_subspace,
+    homstruct.hu_n,
+    homstruct.ac_one_sided,
+)
+
+
+def clear_memo():
+    for fn in MEMOIZED:
+        fn.cache_clear()
 
 
 def q(v):

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import qalg
+from conftest import clear_memo, qalg
 from homalg.algebra import HomAlgebra
 from homalg.constructions import (
     GeneratorConfig,
@@ -36,7 +36,6 @@ from homalg.campaign import (
 from homalg.errors import InternalCheckFailure
 from homalg.fields import GF, QQ
 from homalg.homstruct import (
-    _op_family,
     ac_l_subspace,
     ac_one_sided,
     ac_r_subspace,
@@ -94,8 +93,7 @@ def campaign():
 
 def test_criterion_01_cayley_dickson_pinned_dims():
     """ac and twist dimensions along the doubling chain, under 60 seconds."""
-    twist_space.cache_clear()
-    _op_family.cache_clear()
+    clear_memo()
     t0 = time.monotonic()
     chain = cayley_dickson_chain(4)
     algebras = [lvl.base for lvl in chain[1:]]

@@ -206,6 +206,10 @@ def test_dimension_cap_env(monkeypatch):
         Algebra(QQ, zero3)
     monkeypatch.setenv("HOMALG_MAX_DIM", "3")
     Algebra(QQ, zero3)
+    # a cap that is not an integer is an error, not a silent default
+    monkeypatch.setenv("HOMALG_MAX_DIM", "abc")
+    with pytest.raises(DimensionMismatch, match="'abc'"):
+        Algebra(QQ, zero3)
 
 
 def test_skew_symmetry_flag():

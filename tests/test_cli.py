@@ -242,6 +242,23 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert main(["analyze", str(bad)]) == 2
 
 
+def test_non_integer_modulus_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    doc = {"format_version": 1, "field": {"Fp": 7.9}, "dim": 1, "structure": []}
+    bad.write_text(json.dumps(doc))
+    assert main(["analyze", str(bad)]) == 2
+    assert "InvariantViolation" in capsys.readouterr().err
+
+
+def test_invalid_dimension_cap_exit_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HOMALG_MAX_DIM", "abc")
+    code = main(["cayley-dickson", "--levels", "6", "-o", str(tmp_path / "x.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "HOMALG_MAX_DIM must be an integer, got 'abc'" in err
+    assert "=32" not in err
+
+
 def test_missing_unity_exit_one(tmp_path, capsys):
     path = tmp_path / "nil2.json"
     emit(nil2_algebra(), path)

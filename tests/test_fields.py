@@ -80,6 +80,14 @@ def test_field_equality_and_json():
         field_from_json({"GF": 3})
 
 
+def test_modulus_must_be_an_integer():
+    # a float or a string must not be truncated or coerced into a modulus
+    for bad in (7.9, "7", True):
+        with pytest.raises(ValueError, match="integer"):
+            field_from_json({"Fp": bad})
+    assert field_from_json({"Fp": 7}) == GF(7)
+
+
 def test_char_two_normalization():
     f2 = GF(2)
     assert f2.from_int(-3) == 1

@@ -1,20 +1,26 @@
 """Algebra definition files: round trips, validation, canonical formatting."""
 
+import copy
 import json
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import qalg, projection_tensor
 from homalg.algebra import HomAlgebra, InvolutiveAlgebra
+from homalg.cli import main
 from homalg.constructions import (
     GeneratorConfig,
     cayley_dickson_chain,
     random_algebra,
     truncated_poly,
 )
-from homalg.errors import DimensionMismatch, InvariantViolation, ParseError
+from homalg.errors import DimensionMismatch, HomalgError, InvariantViolation, ParseError
 from homalg.fields import GF, QQ
 from homalg.fileio import algebra_to_doc, doc_to_algebra, dumps, emit, parse, parse_text
+from homalg.linalg import Matrix
 
 
 def roundtrip(x):
@@ -85,7 +91,8 @@ def test_duplicate_key_rejected():
 
 
 def test_bad_prime_rejected():
-    for p in (6, 2**64 + 13):  # composite; prime but above the 2**64 cap
+    # composite; prime but above the 2**64 cap; not an integer
+    for p in (6, 2**64 + 13, 7.9, "7", True):
         doc = {"format_version": 1, "field": {"Fp": p}, "dim": 1, "structure": []}
         with pytest.raises(InvariantViolation):
             doc_to_algebra(doc)
@@ -158,3 +165,95 @@ def test_emitted_documents_are_byte_stable(tmp_path):
 def test_labels_roundtrip():
     a = qalg(projection_tensor(2), labels=("u", "v"))
     assert roundtrip(a).labels == ("u", "v")
+
+
+# -- hostile input ---------------------------------------------------------------
+
+
+def _doubling_doc(levels):
+    """A valid document in the emitted style: labels, structure, twist grid."""
+    a = cayley_dickson_chain(levels)[levels].base
+    return algebra_to_doc(HomAlgebra(a, Matrix.identity(QQ, a.dim)))
+
+
+_BASE_DOCS = (_doubling_doc(1), _doubling_doc(2))  # complex numbers, quaternions
+_DELETE = object()
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6)
+    | st.sampled_from(["0", "-1", "1/2", "1/0", "x", " 3 ", "1e3", "2**64"])
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+_values = _json_values | st.integers(-2, 6) | st.just(_DELETE)
+_moduli = st.integers(-3, 2**66) | st.sampled_from([2, 3, 6, 65521, 2**61 - 1, 2**64 + 13])
+_mutation = st.one_of(
+    st.tuples(st.just(("format_version",)), _values),
+    st.tuples(st.just(("field",)), _values | _moduli.map(lambda p: {"Fp": p})),
+    st.tuples(st.just(("field", "Fp")), _values | _moduli),
+    st.tuples(st.just(("dim",)), _values | st.integers(-2, 10**9)),
+    st.tuples(st.just(("basis",)), _values),
+    st.tuples(st.tuples(st.just("basis"), st.integers(0, 4)), _values),
+    st.tuples(st.just(("structure",)), _values),
+    st.tuples(st.tuples(st.just("structure"), st.integers(0, 17)), _values),
+    st.tuples(
+        st.tuples(st.just("structure"), st.integers(0, 17), st.integers(0, 3)), _values
+    ),
+    st.tuples(st.just(("twist",)), _values),
+    st.tuples(st.tuples(st.just("twist"), st.integers(0, 4)), _values),
+    st.tuples(st.tuples(st.just("twist"), st.integers(0, 4), st.integers(0, 4)), _values),
+)
+
+
+def _mutate(doc, path, value):
+    """Set (or delete) doc[path]; an index past the end appends, and a path
+    through a non-container leaves the document as it is."""
+    *parents, last = path
+    node = doc
+    for key in parents:
+        if isinstance(node, dict) and key in node:
+            node = node[key]
+        elif isinstance(node, list) and isinstance(key, int) and key < len(node):
+            node = node[key]
+        else:
+            return
+    if isinstance(node, dict):
+        if value is _DELETE:
+            node.pop(last, None)
+        else:
+            node[last] = value
+    elif isinstance(node, list) and isinstance(last, int):
+        if value is _DELETE:
+            if last < len(node):
+                del node[last]
+        elif last < len(node):
+            node[last] = value
+        else:
+            node.append(value)
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=10))
+@given(st.sampled_from(_BASE_DOCS), st.lists(_mutation, min_size=1, max_size=3))
+def test_mutated_documents_fail_cleanly(tmp_path_factory, base, mutations):
+    doc = copy.deepcopy(base)
+    for path, value in mutations:
+        _mutate(doc, path, value)
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("HOMALG_MAX_DIM", "4")
+        try:
+            parse(path)
+        except HomalgError:
+            pass
+        assert main(["analyze", str(path)]) in (0, 1, 2)

@@ -5,8 +5,10 @@ from itertools import product as iter_product
 
 import pytest
 
-from conftest import NIL2, fpalg, projection_tensor, qalg
+from conftest import MEMOIZED, NIL2, clear_memo, fpalg, projection_tensor, qalg
+from homalg import subspaces
 from homalg.algebra import HomAlgebra
+from homalg.campaign import builtin_corpus
 from homalg.constructions import (
     GeneratorConfig,
     opposite,
@@ -15,6 +17,7 @@ from homalg.constructions import (
     truncated_poly,
 )
 from homalg.errors import (
+    HomalgError,
     InternalCheckFailure,
     NotTwoSidedUnital,
     NotUnitalOnSide,
@@ -35,7 +38,7 @@ from homalg.homstruct import (
     twist_space,
 )
 from homalg.linalg import Matrix, Subspace, kernel, meet
-from homalg.subspaces import center, find_unities
+from homalg.subspaces import center, find_unities, span_of
 
 
 # -- twist space ------------------------------------------------------------------
@@ -433,3 +436,60 @@ def test_audit_random_left_unital_all_pass():
         )
         rep = structure_theorem_audit(a)
         assert rep.ok(), [c.name for c in rep.failed()]
+
+
+# -- memoized solvers -----------------------------------------------------------------
+
+
+def test_audit_computes_each_subspace_once(octonions):
+    clear_memo()
+    structure_theorem_audit(octonions, unitalize_limit=0)
+    misses = {
+        fn.__name__: fn.cache_info().misses
+        for fn in (ac_l_subspace, hu_n, subspaces.nucleus, span_of)
+    }
+    # distinct inputs: a and its opposite; three hu_n variants; four nucleus
+    # slots; three span kinds
+    assert misses == {"ac_l_subspace": 2, "hu_n": 3, "nucleus": 4, "span_of": 3}
+    assert all(fn.cache_info().maxsize is not None for fn in MEMOIZED)
+
+
+def _memo_calls(a):
+    full = Subspace.full(a.field, a.dim)
+    prods = span_of(a, "products")
+    assoc = span_of(a, "associators")
+    sides = ("left", "right")
+    return (
+        [(subspaces.centralizer, (a, s)) for s in (full, prods)]
+        + [(subspaces.nucleus, (a, slot)) for slot in ("full", "left", "middle", "right")]
+        + [
+            (subspaces.annihilator, (a, s, side))
+            for s in (full, assoc)
+            for side in ("left", "right", "both")
+        ]
+        + [(span_of, (a, kind)) for kind in ("products", "commutators", "associators")]
+        + [(find_unities, (a, side)) for side in ("left", "right", "two_sided")]
+        + [(hu_t, (a, side)) for side in sides]
+        + [(ac_l_subspace, (a,)), (ac_l_subspace, (opposite(a),))]
+        + [(hu_n, (a, v)) for v in ("two_sided", "left", "right")]
+        + [(ac_one_sided, (a, side)) for side in sides]
+    )
+
+
+def _outcome(fn, args):
+    try:
+        return fn(*args)
+    except HomalgError as exc:  # not cached: the type must match a fresh call
+        return type(exc)
+
+
+def test_memoized_results_equal_fresh_recomputation():
+    for name, a in builtin_corpus():
+        calls = _memo_calls(a)
+        clear_memo()
+        memo = [_outcome(fn, args) for fn, args in calls]
+        hits = [_outcome(fn, args) for fn, args in calls]
+        assert all(x is y for x, y in zip(memo, hits)), name
+        for (fn, args), m in zip(calls, memo):
+            clear_memo()
+            assert _outcome(fn.__wrapped__, args) == m, (name, fn.__name__, args[1:])
