@@ -47,14 +47,15 @@ def doc_to_algebra(doc: dict):
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    # type() is int, not isinstance: JSON true is a bool, an int subclass
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r}")
     try:
         field = field_from_json(doc.get("field"))
     except ValueError as exc:
         raise InvariantViolation(str(exc)) from exc
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ParseError(f"dim must be a positive integer, got {dim!r}")
     check_dim(dim)  # before the dim^3 tensor is allocated
     labels = doc.get("basis")
@@ -72,7 +73,7 @@ def doc_to_algebra(doc: dict):
             raise ParseError(f"structure[{pos}] must be [i, j, k, scalar]")
         i, j, k, text = entry
         for idx in (i, j, k):
-            if not isinstance(idx, int) or not 0 <= idx < dim:
+            if type(idx) is not int or not 0 <= idx < dim:
                 raise InvariantViolation(
                     f"structure[{pos}]: index {idx!r} out of range for dim {dim}"
                 )

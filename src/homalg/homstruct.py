@@ -2,11 +2,12 @@
 families, and the one- and two-sided structure theorems with their
 verification machinery.
 
-Everything here reduces to exact kernel computations.  The right-sided
-operations are implemented once, on the opposite algebra, and re-labeled.
-The solvers returning a subspace are memoized per algebra value in bounded
-lru caches, so each result must stay immutable; nothing returning an Algebra
-is cached, because Algebra equality ignores the basis labels.
+Everything here reduces to exact kernel computations, one system per
+defining identity; ``hu_t`` is composed from the twist space instead.  The
+right-sided operations are implemented once, on the opposite algebra, and
+re-labeled.  The solvers returning a subspace are memoized per algebra value
+in bounded lru caches, so each result must stay immutable; nothing returning
+an Algebra is cached, because Algebra equality ignores the basis labels.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import random
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
-from homalg.algebra import Algebra, HomAlgebra, is_idempotent_elem, is_idempotent_map
+from homalg.algebra import Algebra, HomAlgebra, max_dim
+from homalg.algebra import is_idempotent_elem, is_idempotent_map
 from homalg.constructions import opposite, opposite_hom
 from homalg.errors import (
     InternalCheckFailure,
@@ -144,32 +146,16 @@ def _feed_block(solver, rows):
 @lru_cache(maxsize=32)
 def hu_t(a: Algebra, side: str = "left") -> Subspace:
     """Multipliers whose one-sided multiplication operator is a twist making
-    the product hom-associative; a linear solve in the multiplier."""
+    the product hom-associative: the preimage of the twist space under the
+    linear map x -> L_x (or R_x), i.e. the kernel of perp(twist space) @ op_of."""
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
-    n = a.dim
-    f = a.field
-    solver = NullspaceSolver(f, n)
-    if side == "left":
-        fam_pos = _op_family(a, "LR")  # L_s @ R_k
-        fam_neg = _op_family(a, "RR")  # R_t @ R_i
-    else:
-        fam_pos = _op_family(a, "LL")  # L_s @ L_k
-        fam_neg = _op_family(a, "RL")  # R_t @ L_i
-    for i in range(n):
-        if solver.full_rank:
-            break
-        for j in range(n):
-            u = a.products[i][j]
-            for k in range(n):
-                v = a.products[j][k]
-                out = [[f.zero] * n for _ in range(n)]
-                _accumulate(f, out, lambda s: fam_pos[s][k], u, False)
-                _accumulate(f, out, lambda t: fam_neg[t][i], v, True)
-                _feed_block(solver, out)
-            if solver.full_rank:
-                break
-    return solver.solve()
+    ts = twist_space(a).space
+    if ts.is_full():  # zero perp: no constraint rows to multiply
+        return Subspace.full(a.field, a.dim)
+    ops = a.left_basis_ops if side == "left" else a.right_basis_ops
+    op_of = Matrix.from_columns(a.field, [m.flatten() for m in ops])
+    return kernel(ts.perp().basis.matmul(op_of))
 
 
 @lru_cache(maxsize=32)
@@ -610,6 +596,19 @@ class Check:
     detail: str = ""
 
 
+class _CheckList(list):
+    """The audit's check sink: appends one Check per theorem outcome."""
+
+    def record(self, name, cond, detail=""):
+        self.append(Check(name, "pass" if cond else "fail", detail))
+
+    def skip(self, name, detail=""):
+        self.append(Check(name, "skipped", detail))
+
+    def flagged(self, name, cond, detail=""):
+        self.append(Check(name, "pass" if cond else "flagged", detail))
+
+
 @dataclass
 class HomStructureReport:
     algebra: Algebra
@@ -654,16 +653,8 @@ def structure_theorem_audit(a: Algebra, unitalize_limit: int = 8) -> HomStructur
     structure theorems; inapplicable checks are reported as skipped."""
     f = a.field
     n = a.dim
-    checks: list[Check] = []
-
-    def record(name, cond, detail=""):
-        checks.append(Check(name, "pass" if cond else "fail", detail))
-
-    def skip(name, detail=""):
-        checks.append(Check(name, "skipped", detail))
-
-    def flagged(name, cond, detail=""):
-        checks.append(Check(name, "pass" if cond else "flagged", detail))
+    checks = _CheckList()
+    record, skip = checks.record, checks.skip
 
     commutative = a.is_commutative()
     associative = a.is_associative()
@@ -840,13 +831,9 @@ def structure_theorem_audit(a: Algebra, unitalize_limit: int = 8) -> HomStructur
 
     ac_left = ac_right = None
     if not uni_l.is_empty:
-        ac_left = _audit_one_side(a, "left", spaces, ts, uni_l, checks, record, skip,
-                                  flagged, associative, domain_status,
-                                  right_regular_assoc)
+        ac_left = _audit_one_side(a, "left", flags, right_regular_assoc, checks)
     if not uni_r.is_empty:
-        ac_right = _audit_one_side(a, "right", spaces, ts, uni_r, checks, record,
-                                   skip, flagged, associative, domain_status,
-                                   left_regular_assoc)
+        ac_right = _audit_one_side(a, "right", flags, left_regular_assoc, checks)
 
     if not uni_l.is_empty or not uni_r.is_empty:
         record(
@@ -883,8 +870,15 @@ def structure_theorem_audit(a: Algebra, unitalize_limit: int = 8) -> HomStructur
             and hu == spaces["center"],
         )
 
-    # unitalization cross-check
-    if n <= unitalize_limit:
+    # unitalization cross-check (on the dimension n + 1 unitalization)
+    if n > unitalize_limit:
+        skip("unitalization_eigenspace_route", f"dim {n} above limit {unitalize_limit}")
+    elif n + 1 > max_dim():
+        skip(
+            "unitalization_eigenspace_route",
+            f"unitalization dim {n + 1} exceeds HOMALG_MAX_DIM={max_dim()}",
+        )
+    else:
         from homalg.constructions import ac_unitalized_by_eigenspaces
 
         try:
@@ -892,8 +886,6 @@ def structure_theorem_audit(a: Algebra, unitalize_limit: int = 8) -> HomStructur
             record("unitalization_eigenspace_route", True)
         except InternalCheckFailure as exc:
             record("unitalization_eigenspace_route", False, str(exc))
-    else:
-        skip("unitalization_eigenspace_route", f"dim {n} above limit {unitalize_limit}")
 
     return HomStructureReport(
         algebra=a,
@@ -903,41 +895,42 @@ def structure_theorem_audit(a: Algebra, unitalize_limit: int = 8) -> HomStructur
         twist=ts,
         ac_left=ac_left,
         ac_right=ac_right,
-        checks=checks,
+        checks=list(checks),
     )
 
 
-def _audit_one_side(a, side, spaces, ts, uni, checks, record, skip, flagged,
-                    associative, domain_status, regular_assoc):
-    """Single-side structure theorems; returns the AcOneSided result."""
-    tag = side
-    ann_name = "ann_left" if side == "left" else "ann_right"
-    hu_side = spaces["hu_n_left" if side == "left" else "hu_n_right"]
+def _audit_one_side(a, side, flags, regular_assoc, checks):
+    """Single-side structure theorems; returns the AcOneSided result.  The
+    subspaces come from the memoized solvers the audit already called."""
+    record = checks.record
     try:
         acs = ac_one_sided(a, side)
-        record(f"ac_{tag}_consistency", True)
+        record(f"ac_{side}_consistency", True)
     except InternalCheckFailure as exc:
-        record(f"ac_{tag}_consistency", False, str(exc))
+        record(f"ac_{side}_consistency", False, str(exc))
         return None
-    record(f"split_{tag}", acs.split_ok)
+    center = sub.center(a)
+    hu_side = hu_n(a, side)
+    record(f"split_{side}", acs.split_ok)
     record(
-        f"split_{tag}_equality_iff_trivial_annihilator",
-        (acs.ac_unit == acs.ac) == spaces[ann_name].is_zero(),
+        f"split_{side}_equality_iff_trivial_annihilator",
+        (acs.ac_unit == acs.ac)
+        == sub.annihilator(a, Subspace.full(a.field, a.dim), side).is_zero(),
     )
-    record(f"hu_n_{tag}_in_ac_unit", acs.ac_unit.contains_subspace(hu_side))
+    record(f"hu_n_{side}_in_ac_unit", acs.ac_unit.contains_subspace(hu_side))
 
     unit_rows = acs.ac_unit.basis.rows
     mul = a.multiply
     closed = all(
         acs.ac_unit.contains(mul(x, y)) for x in unit_rows for y in unit_rows
     )
-    record(f"ac_unit_{tag}_closed", closed)
+    record(f"ac_unit_{side}_closed", closed)
     record(
-        f"ac_unit_{tag}_commutative",
+        f"ac_unit_{side}_commutative",
         all(mul(x, y) == mul(y, x) for x in unit_rows for y in unit_rows),
     )
     record(
-        f"ac_unit_{tag}_associative",
+        f"ac_unit_{side}_associative",
         all(
             vec_is_zero(a.associator(x, y, z))
             for x in unit_rows
@@ -945,11 +938,9 @@ def _audit_one_side(a, side, spaces, ts, uni, checks, record, skip, flagged,
             for z in unit_rows
         ),
     )
-    ann_of_assoc = sub.annihilator(
-        a, spaces["associator_span"], "left" if side == "left" else "right"
-    )
+    ann_of_assoc = sub.annihilator(a, sub.span_of(a, "associators"), side)
     record(
-        f"ac_unit_{tag}_squares_annihilate_associators",
+        f"ac_unit_{side}_squares_annihilate_associators",
         all(
             ann_of_assoc.contains(mul(x, y))
             for x in unit_rows
@@ -958,24 +949,25 @@ def _audit_one_side(a, side, spaces, ts, uni, checks, record, skip, flagged,
     )
     if regular_assoc:
         record(
-            f"ac_unit_{tag}_two_nilpotent",
+            f"ac_unit_{side}_two_nilpotent",
             all(
                 vec_is_zero(mul(x, y)) for x in unit_rows for y in unit_rows
             ),
         )
 
     rep = bijection_report(a, side)
-    record(f"bijection_{tag}_dims", rep["dims_equal"],
+    record(f"bijection_{side}_dims", rep["dims_equal"],
            f"twist {rep['dim_twist']} vs multipliers {rep['dim_ac_unit']}")
-    record(f"bijection_{tag}_mutually_inverse",
+    record(f"bijection_{side}_mutually_inverse",
            rep["unit_evaluation_inverse"] and rep["multiplication_inverse"])
-    record(f"bijection_{tag}_all_multipliers_compatible",
+    record(f"bijection_{side}_all_multipliers_compatible",
            rep["all_multipliers_compatible"])
     if rep["idempotent_correspondence"].get("status") == "ok":
-        record(f"bijection_{tag}_idempotent_multiplicative", rep["idempotent_correspondence"]["ok"])
+        record(f"bijection_{side}_idempotent_multiplicative", rep["idempotent_correspondence"]["ok"])
     else:
-        skip(f"bijection_{tag}_idempotent_multiplicative", rep["idempotent_correspondence"].get("reason", ""))
+        checks.skip(f"bijection_{side}_idempotent_multiplicative", rep["idempotent_correspondence"].get("reason", ""))
 
+    uni = sub.find_unities(a, side)
     if uni.direction.dim > 0:
         # the multiplier subalgebra genuinely depends on the unity choice
         # (the projection algebra witnesses this), but every choice gives a
@@ -987,27 +979,28 @@ def _audit_one_side(a, side, spaces, ts, uni, checks, record, skip, flagged,
             acs.ac, kernel(op.sub(Matrix.identity(a.field, a.dim)))
         )
         record(
-            f"ac_unit_{tag}_second_unity_consistent",
-            image2 == fixed2 and image2.dim == ts.dim,
+            f"ac_unit_{side}_second_unity_consistent",
+            image2 == fixed2 and image2.dim == twist_space(a).dim,
         )
 
+    associative = flags["associative"]
     if associative:
-        record(f"center_in_ac_{tag}", acs.ac.contains_subspace(spaces["center"]))
+        record(f"center_in_ac_{side}", acs.ac.contains_subspace(center))
         if not sub.find_unities(a, "two_sided").is_empty:
             # associative two-sided unital: the whole ladder collapses
             record(
-                f"ac_{tag}_associative_two_sided_collapse",
-                acs.ac == spaces["center"] == acs.ac_unit == hu_side,
+                f"ac_{side}_associative_two_sided_collapse",
+                acs.ac == center == acs.ac_unit == hu_side,
             )
-    if domain_status == "domain (sampled)":
+    if flags["domain"] == "domain (sampled)":
         if associative:
-            flagged(
-                f"associative_domain_ac_{tag}_is_center",
-                acs.ac == spaces["center"],
+            checks.flagged(
+                f"associative_domain_ac_{side}_is_center",
+                acs.ac == center,
                 "hypothesis certified by sampling only",
             )
         else:
-            record(f"no_hom_structures_on_{tag}_unital_domain", acs.ac_unit.is_zero())
+            record(f"no_hom_structures_on_{side}_unital_domain", acs.ac_unit.is_zero())
     return acs
 
 

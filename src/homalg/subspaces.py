@@ -2,9 +2,10 @@
 spans of products/commutators/associators, unity sets, idempotent search.
 
 Every "for all x in S" condition is imposed on a basis of S only; bilinearity
-or trilinearity of the defining operator makes this exact.  The subspace and
-unity solvers are memoized per argument value in bounded lru caches, so their
-results must stay immutable.
+or trilinearity of the defining operator makes this exact.  The full nucleus
+and the two-sided annihilator are meets of one-identity solves.  The subspace
+and unity solvers are memoized per argument value in bounded lru caches, so
+their results must stay immutable.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from homalg.linalg import (
     Subspace,
     intersect_affine,
     meet,
+    meet_all,
     solve_affine,
     vec_add,
     vec_is_zero,
@@ -67,12 +69,17 @@ def center(a: Algebra) -> Subspace:
 @lru_cache(maxsize=64)
 def nucleus(a: Algebra, slot: str = "full", relative_to: Subspace | None = None) -> Subspace:
     """Elements associating with all pairs from ``relative_to`` in the given
-    slot ("left", "middle", "right") or in all three ("full")."""
+    slot ("left", "middle", "right") or in all three ("full", the meet of the
+    three slot nuclei)."""
+    if slot not in ("left", "middle", "right", "full"):
+        raise ValueError(f"unknown slot {slot!r}")
+    if slot == "full":
+        # same cache keys as a caller asking for one slot without relative_to
+        rel = () if relative_to is None else (relative_to,)
+        return meet_all(nucleus(a, s, *rel) for s in ("left", "middle", "right"))
     if relative_to is None:
         relative_to = Subspace.full(a.field, a.dim)
     _check_subspace(a, relative_to)
-    if slot not in ("left", "middle", "right", "full"):
-        raise ValueError(f"unknown slot {slot!r}")
     basis = relative_to.basis.rows
 
     def blocks():
@@ -80,18 +87,16 @@ def nucleus(a: Algebra, slot: str = "full", relative_to: Subspace | None = None)
             ls = a.left_op(s)
             rs = a.right_op(s)
             for t in basis:
-                lt = a.left_op(t)
-                rt = a.right_op(t)
-                st = a.multiply(s, t)
-                if slot in ("left", "full"):
+                if slot == "left":
                     # [v, s, t] = (v s) t - v (s t)
-                    yield rt.matmul(rs).sub(a.right_op(st))
-                if slot in ("middle", "full"):
+                    yield a.right_op(t).matmul(rs).sub(a.right_op(a.multiply(s, t)))
+                elif slot == "middle":
                     # [s, v, t] = (s v) t - s (v t)
+                    rt = a.right_op(t)
                     yield rt.matmul(ls).sub(ls.matmul(rt))
-                if slot in ("right", "full"):
+                else:
                     # [s, t, v] = (s t) v - s (t v)
-                    yield a.left_op(st).sub(ls.matmul(lt))
+                    yield a.left_op(a.multiply(s, t)).sub(ls.matmul(a.left_op(t)))
 
     return _solve_blocks(a, blocks())
 
@@ -102,19 +107,15 @@ def center_and_nucleus(a: Algebra) -> Subspace:
 
 @lru_cache(maxsize=64)
 def annihilator(a: Algebra, s: Subspace, side: str = "left") -> Subspace:
-    """left: v with v*b = 0 for all b in s; right: b*v = 0; both: meet."""
+    """left: v with v*b = 0 for all b in s; right: b*v = 0; both: the meet of
+    the two."""
     _check_subspace(a, s)
     if side not in ("left", "right", "both"):
         raise ValueError(f"unknown side {side!r}")
-
-    def blocks():
-        for b in s.basis.rows:
-            if side in ("left", "both"):
-                yield a.right_op(b)
-            if side in ("right", "both"):
-                yield a.left_op(b)
-
-    return _solve_blocks(a, blocks())
+    if side == "both":
+        return meet(annihilator(a, s, "left"), annihilator(a, s, "right"))
+    op = a.right_op if side == "left" else a.left_op
+    return _solve_blocks(a, (op(b) for b in s.basis.rows))
 
 
 @lru_cache(maxsize=64)

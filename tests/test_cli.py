@@ -259,6 +259,16 @@ def test_invalid_dimension_cap_exit_two(tmp_path, monkeypatch, capsys):
     assert "=32" not in err
 
 
+def test_analyze_at_dimension_cap_skips_unitalization(quat_file, monkeypatch, capsys):
+    # the unitalization cross-check needs dimension 5, one above the cap
+    monkeypatch.setenv("HOMALG_MAX_DIM", "4")
+    code, doc = run_json(capsys, ["analyze", str(quat_file)])
+    assert code == 0
+    (check,) = [c for c in doc["checks"] if c["name"] == "unitalization_eigenspace_route"]
+    assert check["status"] == "skipped"
+    assert "HOMALG_MAX_DIM=4" in check["detail"]
+
+
 def test_missing_unity_exit_one(tmp_path, capsys):
     path = tmp_path / "nil2.json"
     emit(nil2_algebra(), path)

@@ -148,6 +148,34 @@ def test_bad_version():
         doc_to_algebra({"format_version": 2, "field": "Q", "dim": 1, "structure": []})
 
 
+_BOOLEAN_DOC = {
+    "format_version": True,
+    "field": "Q",
+    "dim": True,
+    "structure": [[False, 0, 0, "1"]],
+}
+
+
+def test_json_booleans_are_not_integers(tmp_path):
+    # True == 1 and isinstance(True, int); a boolean must still not count as
+    # the version, the dimension or a structure index
+    with pytest.raises(HomalgError):
+        doc_to_algebra(_BOOLEAN_DOC)
+    valid = {"format_version": 1, "field": "Q", "dim": 1, "structure": [[0, 0, 0, "1"]]}
+    assert doc_to_algebra(valid).dim == 1
+    for key, value in (("format_version", True), ("dim", True)):
+        with pytest.raises(ParseError):
+            doc_to_algebra({**valid, key: value})
+    for pos in range(3):
+        entry = [0, 0, 0, "1"]
+        entry[pos] = False
+        with pytest.raises(InvariantViolation):
+            doc_to_algebra({**valid, "structure": [entry]})
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps(_BOOLEAN_DOC))
+    assert main(["analyze", str(path)]) == 2
+
+
 def test_json_syntax_error_position():
     with pytest.raises(ParseError) as err:
         parse_text("{\n  broken\n}")

@@ -493,3 +493,69 @@ def test_memoized_results_equal_fresh_recomputation():
         for (fn, args), m in zip(calls, memo):
             clear_memo()
             assert _outcome(fn.__wrapped__, args) == m, (name, fn.__name__, args[1:])
+
+
+# -- exhaustive oracle over small prime fields --------------------------------------
+
+
+# dimension 2 over GF(2), each with a full nucleus strictly inside the meet
+# of two slot nuclei, so that every slot of the full nucleus is needed
+SLOT_SEPARATING = (
+    ("e1e0=e1", [[[0, 0], [0, 0]], [[0, 1], [0, 0]]]),  # not left
+    ("e1e0=e0", [[[0, 0], [0, 0]], [[1, 0], [0, 0]]]),  # not right
+    ("e0e0=e1,e0e1=e1,e1e0=e0,e1e1=e1", [[[0, 1], [0, 1]], [[1, 0], [0, 1]]]),  # not middle
+)
+
+
+def _oracle_algebras():
+    """Small algebras over GF(2)/GF(3) whose every element can be listed:
+    nil2_f2 has the full twist space, the random ones (but the rigid
+    left-unital one) a proper nonzero hu_t, nucleus or annihilator."""
+    corpus = dict(builtin_corpus())
+    out = [(name, corpus[name]) for name in ("builtin/projection3_f2", "builtin/nil2_f2")]
+    out += [(f"slots/{name}", fpalg(2, tensor)) for name, tensor in SLOT_SEPARATING]
+    for seed, dim, p, flag in (
+        (2, 2, 2, "none"),
+        (5, 3, 2, "commutative"),
+        (5, 4, 2, "anticommutative"),
+        (1, 2, 3, "none"),
+        (0, 3, 3, "left_unital"),
+    ):
+        cfg = GeneratorConfig(seed=seed, dim=dim, field=GF(p), flag=flag)
+        out.append((f"random/{seed}-F{p}-d{dim}-{flag}", random_algebra(cfg)))
+    return out
+
+
+ORACLE_ALGEBRAS = _oracle_algebras()
+
+
+@pytest.mark.parametrize("name,a", ORACLE_ALGEBRAS, ids=[name for name, _ in ORACLE_ALGEBRAS])
+def test_derived_subspaces_match_element_enumeration(name, a):
+    # membership of every element, decided by direct products only, never
+    # by a solver: hu_t by the hom-associativity scan of its operator, the
+    # nucleus by basis associators in every slot, the annihilator by products
+    n = a.dim
+    basis = a.basis_elements()
+    full = Subspace.full(a.field, n)
+    spaces = {
+        "hu_t_left": hu_t(a, "left"),
+        "hu_t_right": hu_t(a, "right"),
+        "nucleus": subspaces.nucleus(a, "full"),
+        "ann_both": subspaces.annihilator(a, full, "both"),
+    }
+    zero = a.zero()
+    for x in iter_product(range(a.field.p), repeat=n):
+        oracle = {
+            "hu_t_left": HomAlgebra(a, a.left_op(x)).is_hom_associative(),
+            "hu_t_right": HomAlgebra(a, a.right_op(x)).is_hom_associative(),
+            "nucleus": all(
+                a.associator(x, y, z) == a.associator(y, x, z) == a.associator(y, z, x) == zero
+                for y in basis
+                for z in basis
+            ),
+            "ann_both": all(
+                a.multiply(x, y) == a.multiply(y, x) == zero for y in basis
+            ),
+        }
+        for key, space in spaces.items():
+            assert space.contains(x) == oracle[key], (name, key, x)
