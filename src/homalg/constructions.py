@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from homalg.algebra import Algebra, HomAlgebra, InvolutiveAlgebra
+from homalg.algebra import Algebra, HomAlgebra, InvolutiveAlgebra, check_dim
 from homalg.errors import (
     DimensionMismatch,
     InternalCheckFailure,
@@ -275,6 +275,7 @@ def truncated_poly(field: Field = QQ, degree_cap: int = 6, with_constants: bool 
     if degree_cap < 1:
         raise DimensionMismatch("degree cap must be at least 1")
     lo = 0 if with_constants else 1
+    check_dim(degree_cap + 1 - lo)  # before the n^3 tensor is allocated
     exps = list(range(lo, degree_cap + 1))
     n = len(exps)
     zero, one = field.zero, field.one
@@ -342,6 +343,7 @@ def random_linear_map(field: Field, dim: int, seed: int, pool=None) -> Matrix:
 def random_algebra(cfg: GeneratorConfig) -> Algebra:
     field = cfg.field
     n = cfg.dim
+    check_dim(n)  # before the n^3 tensor is allocated
     rng = random.Random(cfg.seed)
     pool = list(cfg.pool)
     zero, one = field.zero, field.one

@@ -3,7 +3,12 @@ families, and the one- and two-sided structure theorems with their
 verification machinery.
 
 Everything here reduces to exact kernel computations, one system per
-defining identity; ``hu_t`` is composed from the twist space instead.  The
+defining identity; ``hu_t`` and ``ac_l_subspace`` are composed from solved
+subspaces instead.  ``hu_t`` is the preimage of the twist space under
+x -> L_x (or R_x).  ``ac_l_subspace`` is defined by a(xy) = x(ay) and
+(ax)(yz) = a((xy)z); the first on the pair (xy, z) gives a((xy)z) = (xy)(az),
+so given the first the second says that L_a is a twist, and the space is
+``hu_t(a, "left")`` met with the solutions of the first alone.  The
 right-sided operations are implemented once, on the opposite algebra, and
 re-labeled.  The solvers returning a subspace are memoized per algebra value
 in bounded lru caches, so each result must stay immutable; nothing returning
@@ -120,29 +125,6 @@ def _op_family(a: Algebra, fam: str):
     return tuple(tuple(f.matmul(g) for g in second) for f in first)
 
 
-def _accumulate(f, out_rows, mats_for_coeff, coeffs, negate):
-    """out += (-1 if negate) * sum_s coeffs[s] * mats_for_coeff(s)."""
-    n = len(out_rows)
-    for s, c in enumerate(coeffs):
-        if not c:
-            continue
-        if negate:
-            c = f.neg(c)
-        mat = mats_for_coeff(s)
-        for m in range(n):
-            row = mat.rows[m]
-            orow = out_rows[m]
-            for q in range(n):
-                v = row[q]
-                if v:
-                    orow[q] = f.add(orow[q], f.mul(c, v))
-
-
-def _feed_block(solver, rows):
-    for row in rows:
-        solver.add_dense(row)
-
-
 @lru_cache(maxsize=32)
 def hu_t(a: Algebra, side: str = "left") -> Subspace:
     """Multipliers whose one-sided multiplication operator is a twist making
@@ -150,45 +132,31 @@ def hu_t(a: Algebra, side: str = "left") -> Subspace:
     linear map x -> L_x (or R_x), i.e. the kernel of perp(twist space) @ op_of."""
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
-    ts = twist_space(a).space
-    if ts.is_full():  # zero perp: no constraint rows to multiply
-        return Subspace.full(a.field, a.dim)
     ops = a.left_basis_ops if side == "left" else a.right_basis_ops
     op_of = Matrix.from_columns(a.field, [m.flatten() for m in ops])
-    return kernel(ts.perp().basis.matmul(op_of))
+    return kernel(twist_space(a).space.perp().basis.matmul(op_of))
 
 
 @lru_cache(maxsize=32)
 def ac_l_subspace(a: Algebra) -> Subspace:
-    """Elements a with L_a commuting with every L_x and L_{ax} L_y = L_a
-    L_{xy}; defined without any unitality assumption."""
+    """Elements a with a(xy) = x(ay) (L_a commutes with every L_x) and
+    (ax)(yz) = a((xy)z); defined without any unitality assumption.
+
+    The first identity on the pair (xy, z) gives a((xy)z) = (xy)(az), so
+    where it holds the second reads (ax)(yz) = (xy)(az): L_a is a twist.
+    The space is therefore the meet of hu_t(a, "left") with the solutions
+    of the first identity, R_{e_i e_j} - L_{e_i} R_{e_j} on basis pairs."""
     n = a.dim
-    f = a.field
-    solver = NullspaceSolver(f, n)
     fam_lr = _op_family(a, "LR")
-    fam_rr = _op_family(a, "RR")
-    rops = a.right_basis_ops
-    for i in range(n):
-        if solver.full_rank:
-            break
-        for j in range(n):
-            u = a.products[i][j]
-            # property one: a (e_i e_j) = e_i (a e_j)
-            out = [[f.zero] * n for _ in range(n)]
-            _accumulate(f, out, lambda s: rops[s], u, False)
-            _accumulate(f, out, lambda s: fam_lr[i][j], (f.one,), True)
-            _feed_block(solver, out)
-            if solver.full_rank:
-                break
-            for k in range(n):
-                # property two: (a e_i)(e_j e_k) = a ((e_i e_j) e_k)
-                v = a.products[j][k]
-                w = a.multiply(u, a.basis(k))
-                out = [[f.zero] * n for _ in range(n)]
-                _accumulate(f, out, lambda t: fam_rr[t][i], v, False)
-                _accumulate(f, out, lambda s: rops[s], w, True)
-                _feed_block(solver, out)
-    return solver.solve()
+    commuting = sub._solve_blocks(
+        a,
+        (
+            a.right_op(a.products[i][j]).sub(fam_lr[i][j])
+            for i in range(n)
+            for j in range(n)
+        ),
+    )
+    return meet(hu_t(a, "left"), commuting)
 
 
 def ac_r_subspace(a: Algebra) -> Subspace:
@@ -412,11 +380,7 @@ def relation_tables_check(h: HomAlgebra, unity, side: str = "left") -> dict:
     if kernel(tw).is_zero():
         # injective twists preserve the right nucleus both ways
         nr = sub.nucleus(a, "right")
-        if nr.is_full():
-            rows["transport_nucleus_injective"] = True
-        else:
-            constraints = nr.perp().basis
-            rows["transport_nucleus_injective"] = kernel(constraints.matmul(tw)) == nr
+        rows["transport_nucleus_injective"] = kernel(nr.perp().basis.matmul(tw)) == nr
 
     aa = al
     rows["m1_left_ops_commute"] = allpairs(

@@ -81,7 +81,9 @@ class Matrix:
 
     @classmethod
     def zero(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, [[field.zero] * ncols for _ in range(nrows)])
+        m = cls(field, [[field.zero] * ncols for _ in range(nrows)])
+        m.ncols = ncols  # a matrix without rows cannot infer its width
+        return m
 
     @classmethod
     def from_columns(cls, field: Field, cols) -> "Matrix":
@@ -136,6 +138,8 @@ class Matrix:
             raise DimensionMismatch(f"{self.ncols} vs {other.nrows}")
         f = self.field
         ocols = other.ncols
+        if not self.rows:
+            return Matrix.zero(f, 0, ocols)
         out = []
         for row in self.rows:
             acc = [f.zero] * ocols
@@ -423,7 +427,7 @@ class Subspace:
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, Matrix(field, []), ())
+        return cls(field, ambient_dim, Matrix.zero(field, 0, ambient_dim), ())
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":

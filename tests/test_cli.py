@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, deterministic reports."""
 
 import json
+import time
 
 import pytest
 
@@ -267,6 +268,19 @@ def test_analyze_at_dimension_cap_skips_unitalization(quat_file, monkeypatch, ca
     (check,) = [c for c in doc["checks"] if c["name"] == "unitalization_eigenspace_route"]
     assert check["status"] == "skipped"
     assert "HOMALG_MAX_DIM=4" in check["detail"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["random", "--dim", "100000", "--seed", "0"], ["poly", "--degree", "100000"]],
+    ids=["random", "poly"],
+)
+def test_huge_generated_dimension_fails_fast(tmp_path, capsys, argv):
+    # the cap is checked before the dim^3 structure tensor is allocated
+    start = time.perf_counter()
+    assert main(argv + ["-o", str(tmp_path / "x.json")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "dimension 100000 exceeds HOMALG_MAX_DIM" in capsys.readouterr().err
 
 
 def test_missing_unity_exit_one(tmp_path, capsys):

@@ -446,11 +446,17 @@ def test_audit_computes_each_subspace_once(octonions):
     structure_theorem_audit(octonions, unitalize_limit=0)
     misses = {
         fn.__name__: fn.cache_info().misses
-        for fn in (ac_l_subspace, hu_n, subspaces.nucleus, span_of)
+        for fn in (ac_l_subspace, hu_n, subspaces.nucleus, span_of, twist_space)
     }
     # distinct inputs: a and its opposite; three hu_n variants; four nucleus
-    # slots; three span kinds
-    assert misses == {"ac_l_subspace": 2, "hu_n": 3, "nucleus": 4, "span_of": 3}
+    # slots; three span kinds; the twist space of a and of its opposite
+    assert misses == {
+        "ac_l_subspace": 2,
+        "hu_n": 3,
+        "nucleus": 4,
+        "span_of": 3,
+        "twist_space": 2,
+    }
     assert all(fn.cache_info().maxsize is not None for fn in MEMOIZED)
 
 
@@ -533,7 +539,8 @@ ORACLE_ALGEBRAS = _oracle_algebras()
 def test_derived_subspaces_match_element_enumeration(name, a):
     # membership of every element, decided by direct products only, never
     # by a solver: hu_t by the hom-associativity scan of its operator, the
-    # nucleus by basis associators in every slot, the annihilator by products
+    # nucleus by basis associators in every slot, the annihilator by products,
+    # the multiplier space of a and of its opposite (ac_r) by its two identities
     n = a.dim
     basis = a.basis_elements()
     full = Subspace.full(a.field, n)
@@ -543,6 +550,7 @@ def test_derived_subspaces_match_element_enumeration(name, a):
         "nucleus": subspaces.nucleus(a, "full"),
         "ann_both": subspaces.annihilator(a, full, "both"),
     }
+    multiplier_spaces = [(b, ac_l_subspace(b)) for b in (a, opposite(a))]
     zero = a.zero()
     for x in iter_product(range(a.field.p), repeat=n):
         oracle = {
@@ -559,3 +567,15 @@ def test_derived_subspaces_match_element_enumeration(name, a):
         }
         for key, space in spaces.items():
             assert space.contains(x) == oracle[key], (name, key, x)
+        for b, space in multiplier_spaces:
+            mul = b.multiply
+            # x(yz) = y(xz) and (xy)(zw) = x((yz)w)
+            assert space.contains(x) == (
+                all(mul(x, mul(y, z)) == mul(y, mul(x, z)) for y in basis for z in basis)
+                and all(
+                    mul(mul(x, y), mul(z, w)) == mul(x, mul(mul(y, z), w))
+                    for y in basis
+                    for z in basis
+                    for w in basis
+                )
+            ), (name, b is a, x)

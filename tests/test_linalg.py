@@ -213,6 +213,14 @@ def test_meet_join_basics():
     assert join(s, zero) == s
 
 
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_zero_row_matrices_keep_their_width(field):
+    # the perp of the full space has no rows but still acts on field^3
+    m = Subspace.full(field, 3).perp().basis.matmul(Matrix.identity(field, 3))
+    assert (m.nrows, m.ncols) == (0, 3)
+    assert kernel(m).is_full()
+
+
 def test_meet_span_overlap():
     sxy = ss([[1, 0, 0], [0, 1, 0]])
     syz = ss([[0, 1, 0], [0, 0, 1]])
