@@ -357,11 +357,3 @@ def is_idempotent_map(f: Matrix) -> bool:
 
 def is_idempotent_elem(a: Algebra, x) -> bool:
     return a.multiply(x, x) == tuple(x)
-
-
-def hom_algebra_with_left_mult(a: Algebra, x) -> HomAlgebra:
-    return HomAlgebra(a, a.left_op(x))
-
-
-def hom_algebra_with_right_mult(a: Algebra, x) -> HomAlgebra:
-    return HomAlgebra(a, a.right_op(x))

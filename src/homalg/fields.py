@@ -1,9 +1,18 @@
 """Exact coefficient fields: the rationals and prime fields.
 
-Scalars are stored as raw values (``fractions.Fraction`` for the rationals,
-``int`` residues in ``[0, p)`` for a prime field); the field object carries the
-tag and supplies arithmetic, parsing and canonical formatting.  Keeping raw
-values out of wrapper objects keeps the elimination loops fast.
+Scalars are stored as raw values; the field object carries the tag and
+supplies arithmetic, parsing and canonical formatting.  Keeping raw values out
+of wrapper objects keeps the elimination loops fast.
+
+- Over Q an integral rational is a plain ``int``; ``fractions.Fraction`` is
+  kept for values whose denominator is not 1.  ``zero``, ``one`` and
+  ``from_int`` give ints, and ``div`` and ``parse`` turn a result with
+  denominator 1 into its numerator, so integer-constant algebras never pay
+  for ``Fraction`` arithmetic.  Sums and products of fractions may still be
+  a ``Fraction`` with denominator 1; since ``Fraction(3) == 3`` and
+  ``hash(Fraction(3)) == hash(3)``, equality, hashing and ``format`` do not
+  depend on which type holds a value.
+- Over F_p a scalar is an ``int`` residue in ``[0, p)``.
 """
 
 from __future__ import annotations
@@ -59,14 +68,19 @@ class Field:
         raise NotImplementedError
 
 
+def _integral(q: Fraction):
+    """``q`` as an ``int`` when its denominator is 1, else ``q`` itself."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class RationalField(Field):
     """The field of arbitrary-precision rationals.  Singleton ``QQ``."""
 
     label = "Q"
     char = 0
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -75,7 +89,7 @@ class RationalField(Field):
         return hash("homalg.Q")
 
     def from_int(self, k):
-        return Fraction(k)
+        return k
 
     def add(self, a, b):
         return a + b
@@ -92,13 +106,14 @@ class RationalField(Field):
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero in Q")
-        return a / b
+        # Fraction(a, b), never a / b: the quotient of two ints is a float
+        return _integral(Fraction(a, b))
 
     def parse(self, text):
         if isinstance(text, int):
-            return Fraction(text)
+            return int(text)
         try:
-            return Fraction(str(text).strip())
+            return _integral(Fraction(str(text).strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational literal {text!r}") from exc
 

@@ -36,6 +36,7 @@ from homalg.linalg import (
     Matrix,
     NullspaceSolver,
     Subspace,
+    as_fractions,
     kernel,
     meet,
     meet_all,
@@ -145,7 +146,8 @@ def ac_l_subspace(a: Algebra) -> Subspace:
     The first identity on the pair (xy, z) gives a((xy)z) = (xy)(az), so
     where it holds the second reads (ax)(yz) = (xy)(az): L_a is a twist.
     The space is therefore the meet of hu_t(a, "left") with the solutions
-    of the first identity, R_{e_i e_j} - L_{e_i} R_{e_j} on basis pairs."""
+    of the first identity, R_{e_i e_j} - L_{e_i} R_{e_j} on basis pairs.
+    A zero commuting space forces a zero meet, and hu_t is not solved."""
     n = a.dim
     fam_lr = _op_family(a, "LR")
     commuting = sub._solve_blocks(
@@ -156,6 +158,8 @@ def ac_l_subspace(a: Algebra) -> Subspace:
             for j in range(n)
         ),
     )
+    if commuting.is_zero():
+        return commuting
     return meet(hu_t(a, "left"), commuting)
 
 
@@ -286,9 +290,9 @@ def multiplicativity_report(h: HomAlgebra, unity, side: str = "left") -> dict:
     wit = h.hom_associativity_witness()
     if wit is not None:
         raise PreconditionViolated(f"not hom-associative, witness triple {wit}")
-    if not _unity_on_side(h.base, unity, side):
-        raise PreconditionViolated(f"not a {side} unity: {unity}")
     a = h.base
+    if not _unity_on_side(a, unity, side):
+        raise PreconditionViolated(f"not a {side} unity: {as_fractions(a.field, unity)}")
     tw = h.twist
     al = tw.apply(unity)
     conditions = {
@@ -336,7 +340,7 @@ def relation_tables_check(h: HomAlgebra, unity, side: str = "left") -> dict:
         raise PreconditionViolated(f"not hom-associative, witness triple {wit}")
     a = h.base
     if not _unity_on_side(a, unity, "left"):
-        raise PreconditionViolated(f"not a left unity: {unity}")
+        raise PreconditionViolated(f"not a left unity: {as_fractions(a.field, unity)}")
     f = a.field
     n = a.dim
     tw = h.twist
@@ -694,7 +698,7 @@ def structure_theorem_audit(a: Algebra, unitalize_limit: int = 8) -> HomStructur
         if gap:
             skip(
                 f"hu_t_{side_name}_exceeds_hu_n_{side_name}",
-                f"witness multiplier {list(gap[0])}",
+                f"witness multiplier {as_fractions(a.field, list(gap[0]))}",
             )
 
     zn = meet(spaces["center"], spaces["nucleus"])

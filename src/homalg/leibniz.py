@@ -14,7 +14,7 @@ from homalg.errors import (
     NotLeibniz,
     PreconditionViolated,
 )
-from homalg.linalg import Matrix, Subspace, meet, vec_add, vec_is_zero
+from homalg.linalg import Matrix, Subspace, as_fractions, meet, vec_add, vec_is_zero
 from homalg import homstruct
 from homalg import subspaces as sub
 
@@ -116,9 +116,13 @@ def hu_n_leibniz(a: Algebra) -> Subspace:
     check_nilpotency = a.field.char != 2
     for v in result.basis.rows:
         if check_nilpotency and not is_three_nilpotent_element(a, v):
-            raise InternalCheckFailure(f"basis vector {v} is not 3-nilpotent")
+            raise InternalCheckFailure(
+                f"basis vector {as_fractions(a.field, v)} is not 3-nilpotent"
+            )
         if not hu_t_left.contains(v):
-            raise InternalCheckFailure(f"basis vector {v} is not a left multiplier twist")
+            raise InternalCheckFailure(
+                f"basis vector {as_fractions(a.field, v)} is not a left multiplier twist"
+            )
     return result
 
 

@@ -5,8 +5,11 @@ Matrices are dense and immutable; subspaces are kept in a canonical form
 entry-wise equality of the canonical bases.  All arithmetic is exact; there is
 no floating point anywhere in this package.
 
-Vectors are plain tuples of raw scalars (``Fraction`` over Q, ``int`` residues
-over F_p); see ``fields`` for the scalar conventions.
+Vectors are plain tuples of raw scalars: over Q an ``int`` for an integral
+rational and a ``Fraction`` otherwise, over F_p an ``int`` residue; see
+``fields`` for the scalar conventions.  Q rows are eliminated as integer rows,
+and the canonical RREF turns back into rationals only where a pivot does not
+divide an entry.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from homalg.fields import Field, PrimeField, QQ
 _CERT_PRIME = 2147483647
 # rows buffered per modular flush, and per exact pass over the Q row pool
 _CHUNK = 384
+_INT_ONLY = {int}
 
 
 def check_same_field(f1: Field, f2: Field):
@@ -51,6 +55,16 @@ def vec_scale(field: Field, lam, u):
 
 def vec_is_zero(u) -> bool:
     return all(not a for a in u)
+
+
+def as_fractions(field: Field, u):
+    """``u`` in its own container type with each Q scalar as a ``Fraction``.
+    Report and error text that embeds the repr of a raw vector goes through
+    this, so it reads ``Fraction(1, 1)`` whether a value is held as an int or
+    as a Fraction."""
+    if field == QQ:
+        return type(u)(Fraction(a) for a in u)
+    return u
 
 
 class Matrix:
@@ -116,7 +130,9 @@ class Matrix:
         return tuple(r[j] for r in self.rows)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, zip(*self.rows)) if self.rows else self
+        if not (self.nrows and self.ncols):
+            return Matrix.zero(self.field, self.ncols, self.nrows)
+        return Matrix(self.field, zip(*self.rows))
 
     def add(self, other: "Matrix") -> "Matrix":
         self._check_shape(other)
@@ -192,8 +208,10 @@ def unflatten_matrix(field: Field, n: int, vec) -> Matrix:
 
 
 def _q_row_to_int(row) -> list:
-    """Clear denominators of a Fraction row.  Scaling a row by a positive
-    integer changes neither row space nor nullspace."""
+    """Clear denominators of a Q row.  Scaling a row by a positive integer
+    changes neither row space nor nullspace."""
+    if set(map(type, row)) <= _INT_ONLY:
+        return list(row)
     mult = 1
     for v in row:
         d = v.denominator
@@ -205,14 +223,15 @@ def _q_row_to_int(row) -> list:
 
 
 def _int_rref_to_q(rows, pivots):
-    """Primitive integer RREF rows -> rational rows with pivot entries 1."""
+    """Primitive integer RREF rows -> Q rows with pivot entries 1: an entry
+    stays an ``int`` where the pivot divides it."""
     out = []
     for row, c in zip(rows, pivots):
         p = row[c]
         if p == 1:
-            out.append(tuple(Fraction(v) for v in row))
+            out.append(tuple(row))
         else:
-            out.append(tuple(Fraction(v, p) for v in row))
+            out.append(tuple(v // p if v % p == 0 else Fraction(v, p) for v in row))
     return out
 
 
@@ -282,10 +301,7 @@ class NullspaceSolver:
         """pairs: iterable of (column, raw value); columns may repeat."""
         if self.full_rank:
             return
-        if self._rational:
-            row = [Fraction(0)] * self.ncols
-        else:
-            row = [0] * self.ncols
+        row = [0] * self.ncols
         f = self.field
         for c, v in pairs:
             row[c] = f.add(row[c], v)
@@ -447,9 +463,6 @@ class Subspace:
 
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
-
-    def basis_rows(self):
-        return self.basis.rows
 
     def __eq__(self, other):
         return (

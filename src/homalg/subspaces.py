@@ -10,7 +10,6 @@ their results must stay immutable.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 
@@ -187,8 +186,9 @@ def idempotents(a: Algebra, within: Subspace, cap: int = 1 << 20) -> list:
         if p**k > cap:
             raise SearchSpaceTooLarge(f"{p}^{k} candidates exceed cap {cap}")
         found = []
+        coords = within.basis.transpose()
         for coeffs in iter_product(range(p), repeat=k):
-            x = within.basis.transpose().apply(coeffs) if k else a.zero()
+            x = coords.apply(coeffs)
             if a.multiply(x, x) == x:
                 found.append(x)
         return sorted(found)
@@ -215,13 +215,13 @@ def _idempotents_q_dim1(a: Algebra, b) -> list:
             if x != 0:
                 return out
         else:
-            r = Fraction(x, y)
+            r = a.field.div(x, y)
             if ratio is None:
                 ratio = r
             elif ratio != r:
                 return out
     if ratio:  # b b = ratio * b with ratio nonzero -> s = 1/ratio
-        out.append(vec_scale(a.field, Fraction(1, 1) / ratio, b))
+        out.append(vec_scale(a.field, a.field.div(1, ratio), b))
     return sorted(out)
 
 
@@ -260,8 +260,8 @@ def _idempotents_q_dim2(a: Algebra, basis) -> list:
             rt = sympy.Rational(vt)
         except (TypeError, ValueError):
             continue  # irrational solution, not an element over Q
-        cs = Fraction(int(rs.p), int(rs.q))
-        ct = Fraction(int(rt.p), int(rt.q))
+        cs = a.field.div(int(rs.p), int(rs.q))
+        ct = a.field.div(int(rt.p), int(rt.q))
         x = vec_add(a.field, vec_scale(a.field, cs, b1), vec_scale(a.field, ct, b2))
         out.append(x)
     zero = a.zero()

@@ -15,6 +15,22 @@ def test_rational_parse_and_format():
     assert QQ.format(F(3, -9)) == "-1/3"  # sign moves to the numerator
 
 
+def test_integral_rationals_are_ints():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.from_int(-7)) is int
+    half = QQ.div(1, 2)
+    assert half == F(1, 2) and type(half) is F  # never the float 0.5
+    two = QQ.div(4, 2)
+    assert two == 2 and type(two) is int
+    assert type(QQ.div(F(3, 2), F(3, 4))) is int
+    assert type(QQ.parse("6/3")) is int and QQ.parse("6/3") == 2
+    assert type(QQ.parse(5)) is int
+    assert type(QQ.parse("2/3")) is F
+    assert QQ.format(2) == QQ.format(F(2)) == "2"
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+
+
 def test_rational_bad_literal():
     with pytest.raises(ValueError):
         QQ.parse("2/0")

@@ -3,6 +3,7 @@
 import copy
 import json
 from datetime import timedelta
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +78,27 @@ def test_roundtrip_rational_scalars():
     doc["structure"] = [[0, 0, 0, "4/6"]]
     b = doc_to_algebra(doc)
     assert algebra_to_doc(b)["structure"] == [[0, 0, 0, "2/3"]]
+
+
+def test_non_integral_algebra_roundtrips_and_analyzes(tmp_path, capsys):
+    # e0 e0 = 3/2 e0, e0 e1 = e1 e0 = 3/2 e1, e1 e1 = -1/4 e0: unity 2/3 e0
+    doc = {
+        "format_version": 1,
+        "field": "Q",
+        "dim": 2,
+        "structure": [[0, 0, 0, "3/2"], [0, 1, 1, "3/2"], [1, 0, 1, "3/2"], [1, 1, 0, "-1/4"]],
+    }
+    a = doc_to_algebra(doc)
+    assert a.tensor[0][0][0] == F(3, 2) and type(a.tensor[0][1][0]) is int
+    path = tmp_path / "thirds.json"
+    emit(a, path)
+    assert parse(path) == a
+    assert algebra_to_doc(parse(path))["structure"] == doc["structure"]
+    assert main(["analyze", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is True
+    assert report["unities"]["two_sided"]["particular"] == ["2/3", "0"]
+    assert report["twist_space"]["basis_maps"][1] == [["0", "1"], ["-6", "0"]]
 
 
 def test_duplicate_key_rejected():

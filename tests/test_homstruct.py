@@ -7,8 +7,8 @@ import pytest
 
 from conftest import MEMOIZED, NIL2, clear_memo, fpalg, projection_tensor, qalg
 from homalg import subspaces
-from homalg.algebra import HomAlgebra
-from homalg.campaign import builtin_corpus
+from homalg.algebra import Algebra, HomAlgebra
+from homalg.campaign import algebra_checks, builtin_corpus
 from homalg.constructions import (
     GeneratorConfig,
     opposite,
@@ -38,6 +38,7 @@ from homalg.homstruct import (
     twist_space,
 )
 from homalg.linalg import Matrix, Subspace, kernel, meet
+from homalg.reports import audit_json, render
 from homalg.subspaces import center, find_unities, span_of
 
 
@@ -460,6 +461,16 @@ def test_audit_computes_each_subspace_once(octonions):
     assert all(fn.cache_info().maxsize is not None for fn in MEMOIZED)
 
 
+def test_zero_commuting_space_skips_the_twist_solve():
+    # x(e_i e_j) = e_i(x e_j) has only x = 0 for the cross product, so the
+    # multiplier space is zero without hu_t and its n^4-row twist space
+    a = dict(builtin_corpus())["builtin/cross_product"]
+    clear_memo()
+    assert ac_l_subspace(a).is_zero()
+    assert twist_space.cache_info().misses == 0
+    assert hu_t.cache_info().misses == 0
+
+
 def _memo_calls(a):
     full = Subspace.full(a.field, a.dim)
     prods = span_of(a, "products")
@@ -499,6 +510,44 @@ def test_memoized_results_equal_fresh_recomputation():
         for (fn, args), m in zip(calls, memo):
             clear_memo()
             assert _outcome(fn.__wrapped__, args) == m, (name, fn.__name__, args[1:])
+
+
+# -- scalar convention: integral rationals are ints ------------------------------
+
+
+@pytest.mark.parametrize("name", ["builtin/projection2", "builtin/quaternions"])
+def test_fraction_and_int_entries_give_the_same_algebra(name):
+    base = dict(builtin_corpus())[name]
+    as_int = Algebra(QQ, [[[int(v) for v in col] for col in row] for row in base.tensor])
+    as_frac = Algebra(QQ, [[[F(v) for v in col] for col in row] for row in base.tensor])
+    assert as_int == as_frac and hash(as_int) == hash(as_frac)
+    texts = []
+    for a in (as_int, as_frac):
+        clear_memo()  # otherwise the second audit reads the first one's cache
+        texts.append(render(audit_json(structure_theorem_audit(a))))
+    assert texts[0] == texts[1]
+
+
+def test_campaign_witness_multiplier_text():
+    # the detail embeds the repr of a raw vector; over Q it has always read
+    # as Fractions, whichever type now holds the integral entries
+    corpus = dict(builtin_corpus())
+    expected = {
+        "builtin/projection2": "witness multiplier [Fraction(1, 1), Fraction(0, 1)]",
+        "builtin/projection3_f2": "witness multiplier [1, 0, 0]",
+    }
+    for name, text in expected.items():
+        details = {e["check"]: e.get("detail") for e in algebra_checks(name, corpus[name])}
+        assert details["audit/hu_t_left_exceeds_hu_n_left"] == text
+
+
+def test_not_a_unity_message_reads_fractions(proj2):
+    # left unities of proj2 have coordinate sum 1; (2, 0) is none
+    h = HomAlgebra(proj2, Matrix.identity(QQ, 2))
+    with pytest.raises(PreconditionViolated, match=r"\(Fraction\(2, 1\), Fraction\(0, 1\)\)$"):
+        multiplicativity_report(h, (2, 0), "left")
+    with pytest.raises(PreconditionViolated, match=r"\[Fraction\(2, 1\), Fraction\(0, 1\)\]$"):
+        relation_tables_check(h, [2, 0], "left")
 
 
 # -- exhaustive oracle over small prime fields --------------------------------------

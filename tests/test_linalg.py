@@ -221,6 +221,17 @@ def test_zero_row_matrices_keep_their_width(field):
     assert kernel(m).is_full()
 
 
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_transpose_of_a_rowless_matrix_has_rows(field):
+    # the 0x3 basis of the zero subspace transposes to 3x0, which maps the
+    # empty coordinate tuple to the zero vector of field^3
+    t = Subspace.zero(field, 3).basis.transpose()
+    assert (t.nrows, t.ncols) == (3, 0)
+    assert t.apply(()) == (field.zero,) * 3
+    assert t.transpose() == Subspace.zero(field, 3).basis
+    assert t.transpose().ncols == 3
+
+
 def test_meet_span_overlap():
     sxy = ss([[1, 0, 0], [0, 1, 0]])
     syz = ss([[0, 1, 0], [0, 0, 1]])
