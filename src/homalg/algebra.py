@@ -47,7 +47,7 @@ class Algebra:
         "dim",
         "tensor",
         "labels",
-        "_products",
+        "_associators",
         "_left_mats",
         "_right_mats",
         "_hash",
@@ -66,7 +66,7 @@ class Algebra:
         self.labels = tuple(labels) if labels else None
         if self.labels and len(self.labels) != n:
             raise InvariantViolation("label list length != dim")
-        self._products = None
+        self._associators = None
         self._left_mats = None
         self._right_mats = None
         self._hash = None
@@ -101,16 +101,33 @@ class Algebra:
 
     @property
     def products(self):
-        """products[i][j] = e_i * e_j as a coordinate tuple."""
-        if self._products is None:
-            self._products = tuple(
-                tuple(
-                    tuple(self.tensor[i][j][k] for k in range(self.dim))
-                    for j in range(self.dim)
-                )
-                for i in range(self.dim)
+        """products[i][j] = e_i * e_j as a coordinate tuple: the tensor itself."""
+        return self.tensor
+
+    @property
+    def associators(self):
+        """associators[i][j][k] = (e_i e_j) e_k - e_i (e_j e_k), built once from
+        the nonzero coefficients of the product table."""
+        if self._associators is None:
+            f = self.field
+            n = self.dim
+            terms = [[[(m, c) for m, c in enumerate(p) if c] for p in row] for row in self.tensor]
+
+            def assoc(i, j, k):
+                acc = [f.zero] * n
+                for m, c in terms[i][j]:
+                    for q, v in terms[m][k]:
+                        acc[q] = f.add(acc[q], f.mul(c, v))
+                for m, c in terms[j][k]:
+                    for q, v in terms[i][m]:
+                        acc[q] = f.sub(acc[q], f.mul(c, v))
+                return tuple(acc)
+
+            self._associators = tuple(
+                tuple(tuple(assoc(i, j, k) for k in range(n)) for j in range(n))
+                for i in range(n)
             )
-        return self._products
+        return self._associators
 
     def _check_elem(self, x):
         if len(x) != self.dim:
@@ -229,12 +246,11 @@ class Algebra:
         return True
 
     def associativity_witness(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    if not vec_is_zero(
-                        self.associator(self.basis(i), self.basis(j), self.basis(k))
-                    ):
+        """Lexicographically first basis triple with nonzero associator."""
+        for i, plane in enumerate(self.associators):
+            for j, line in enumerate(plane):
+                for k, v in enumerate(line):
+                    if not vec_is_zero(v):
                         return (i, j, k)
         return None
 
@@ -293,13 +309,13 @@ class HomAlgebra:
         a = self.base
         tw = self.twist
         twisted = [tw.apply(a.basis(i)) for i in range(a.dim)]
+        right = [a.right_op(t) for t in twisted]
+        left = [a.left_op(t) for t in twisted]
         for i in range(a.dim):
             for j in range(a.dim):
                 uij = a.products[i][j]
                 for k in range(a.dim):
-                    lhs = a.multiply(uij, twisted[k])
-                    rhs = a.multiply(twisted[i], a.products[j][k])
-                    if lhs != rhs:
+                    if right[k].apply(uij) != left[i].apply(a.products[j][k]):
                         return (i, j, k)
         return None
 

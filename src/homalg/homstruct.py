@@ -8,11 +8,12 @@ subspaces instead.  ``hu_t`` is the preimage of the twist space under
 x -> L_x (or R_x).  ``ac_l_subspace`` is defined by a(xy) = x(ay) and
 (ax)(yz) = a((xy)z); the first on the pair (xy, z) gives a((xy)z) = (xy)(az),
 so given the first the second says that L_a is a twist, and the space is
-``hu_t(a, "left")`` met with the solutions of the first alone.  The
-right-sided operations are implemented once, on the opposite algebra, and
-re-labeled.  The solvers returning a subspace are memoized per algebra value
-in bounded lru caches, so each result must stay immutable; nothing returning
-an Algebra is cached, because Algebra equality ignores the basis labels.
+``hu_t(a, "left")`` met with the solutions of the first alone.  Basis-triple
+scans read ``Algebra.associators``.  The right-sided operations are
+implemented once, on the opposite algebra, and re-labeled.  The solvers
+returning a subspace are memoized per algebra value in bounded lru caches, so
+each result must stay immutable; nothing returning an Algebra is cached,
+because Algebra equality ignores the basis labels.
 """
 
 from __future__ import annotations
@@ -118,12 +119,10 @@ def twist_space(a: Algebra) -> TwistSpace:
 
 
 @lru_cache(maxsize=64)
-def _op_family(a: Algebra, fam: str):
-    """fam[0], fam[1] in {L, R}: all products first_s @ second_k of basis
-    multiplication operators, indexed [s][k]."""
-    first = a.left_basis_ops if fam[0] == "L" else a.right_basis_ops
-    second = a.left_basis_ops if fam[1] == "L" else a.right_basis_ops
-    return tuple(tuple(f.matmul(g) for g in second) for f in first)
+def _op_family(a: Algebra):
+    """All products L_{e_s} @ R_{e_k} of basis multiplication operators,
+    indexed [s][k]."""
+    return tuple(tuple(ls.matmul(rk) for rk in a.right_basis_ops) for ls in a.left_basis_ops)
 
 
 @lru_cache(maxsize=32)
@@ -149,7 +148,7 @@ def ac_l_subspace(a: Algebra) -> Subspace:
     of the first identity, R_{e_i e_j} - L_{e_i} R_{e_j} on basis pairs.
     A zero commuting space forces a zero meet, and hu_t is not solved."""
     n = a.dim
-    fam_lr = _op_family(a, "LR")
+    fam_lr = _op_family(a)
     commuting = sub._solve_blocks(
         a,
         (
@@ -783,10 +782,9 @@ def structure_theorem_audit(a: Algebra, unitalize_limit: int = 8) -> HomStructur
     assoc_candidates = list(assoc_span.basis.rows)
     if n <= 6:
         seen_vals = set(assoc_candidates)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    v = a.associator(a.basis(i), a.basis(j), a.basis(k))
+        for plane in a.associators:
+            for line in plane:
+                for v in line:
                     if any(v) and v not in seen_vals:
                         seen_vals.add(v)
                         assoc_candidates.append(v)
@@ -991,17 +989,12 @@ def _complement_ray(space: Subspace):
 def _flexible_on_basis(a: Algebra) -> bool:
     """Flexibility (x y) x = x (y x), polarized over the basis."""
     n = a.dim
+    assoc = a.associators
     for j in range(n):
-        y = a.basis(j)
         for i in range(n):
-            if not vec_is_zero(a.associator(a.basis(i), y, a.basis(i))):
+            if not vec_is_zero(assoc[i][j][i]):
                 return False
             for k in range(i + 1, n):
-                s = vec_add(
-                    a.field,
-                    a.associator(a.basis(i), y, a.basis(k)),
-                    a.associator(a.basis(k), y, a.basis(i)),
-                )
-                if not vec_is_zero(s):
+                if not vec_is_zero(vec_add(a.field, assoc[i][j][k], assoc[k][j][i])):
                     return False
     return True

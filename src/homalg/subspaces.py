@@ -2,10 +2,11 @@
 spans of products/commutators/associators, unity sets, idempotent search.
 
 Every "for all x in S" condition is imposed on a basis of S only; bilinearity
-or trilinearity of the defining operator makes this exact.  The full nucleus
-and the two-sided annihilator are meets of one-identity solves.  The subspace
-and unity solvers are memoized per argument value in bounded lru caches, so
-their results must stay immutable.
+or trilinearity of the defining operator makes this exact.  Nuclei and the
+associator span read ``a.associators``.  The full nucleus and the two-sided
+annihilator are meets of one-identity solves.  The subspace and unity solvers
+are memoized per argument value in bounded lru caches, so their results must
+stay immutable.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from homalg.linalg import (
     vec_add,
     vec_is_zero,
     vec_scale,
+    vec_sub,
 )
 
 
@@ -66,38 +68,27 @@ def center(a: Algebra) -> Subspace:
 
 
 @lru_cache(maxsize=64)
-def nucleus(a: Algebra, slot: str = "full", relative_to: Subspace | None = None) -> Subspace:
-    """Elements associating with all pairs from ``relative_to`` in the given
-    slot ("left", "middle", "right") or in all three ("full", the meet of the
-    three slot nuclei)."""
+def nucleus(a: Algebra, slot: str = "full") -> Subspace:
+    """Elements associating with all basis pairs in the given slot ("left",
+    "middle", "right") or in all three ("full", the meet of the three slot
+    nuclei).  Block (s, t) has column c the associator with e_c in the slot
+    and e_s, e_t in the other two, read from ``a.associators``."""
     if slot not in ("left", "middle", "right", "full"):
         raise ValueError(f"unknown slot {slot!r}")
     if slot == "full":
-        # same cache keys as a caller asking for one slot without relative_to
-        rel = () if relative_to is None else (relative_to,)
-        return meet_all(nucleus(a, s, *rel) for s in ("left", "middle", "right"))
-    if relative_to is None:
-        relative_to = Subspace.full(a.field, a.dim)
-    _check_subspace(a, relative_to)
-    basis = relative_to.basis.rows
+        return meet_all(nucleus(a, s) for s in ("left", "middle", "right"))
+    assoc = a.associators
+    n = a.dim
 
-    def blocks():
-        for s in basis:
-            ls = a.left_op(s)
-            rs = a.right_op(s)
-            for t in basis:
-                if slot == "left":
-                    # [v, s, t] = (v s) t - v (s t)
-                    yield a.right_op(t).matmul(rs).sub(a.right_op(a.multiply(s, t)))
-                elif slot == "middle":
-                    # [s, v, t] = (s v) t - s (v t)
-                    rt = a.right_op(t)
-                    yield rt.matmul(ls).sub(ls.matmul(rt))
-                else:
-                    # [s, t, v] = (s t) v - s (t v)
-                    yield a.left_op(a.multiply(s, t)).sub(ls.matmul(a.left_op(t)))
+    def columns(s, t):
+        if slot == "left":
+            return [assoc[c][s][t] for c in range(n)]
+        if slot == "middle":
+            return [assoc[s][c][t] for c in range(n)]
+        return assoc[s][t]
 
-    return _solve_blocks(a, blocks())
+    blocks = (Matrix.from_columns(a.field, columns(s, t)) for s in range(n) for t in range(n))
+    return _solve_blocks(a, blocks)
 
 
 def center_and_nucleus(a: Algebra) -> Subspace:
@@ -124,18 +115,10 @@ def span_of(a: Algebra, kind: str) -> Subspace:
     if kind == "products":
         rows = [a.products[i][j] for i in range(n) for j in range(n)]
     elif kind == "commutators":
-        rows = [
-            a.commutator(a.basis(i), a.basis(j))
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
+        p = a.products
+        rows = [vec_sub(a.field, p[i][j], p[j][i]) for i in range(n) for j in range(i + 1, n)]
     elif kind == "associators":
-        rows = [
-            a.associator(a.basis(i), a.basis(j), a.basis(k))
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        ]
+        rows = [v for plane in a.associators for line in plane for v in line]
     else:
         raise ValueError(f"unknown span kind {kind!r}")
     return Subspace.from_rows(a.field, n, rows)

@@ -1,6 +1,7 @@
 """Products, multiplication operators, (hom-)associators, predicates."""
 
 from fractions import Fraction as F
+from itertools import product as iter_product
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,16 @@ from homalg.algebra import (
     is_idempotent_elem,
     is_idempotent_map,
 )
-from homalg.constructions import truncated_poly
+from homalg.campaign import builtin_corpus
+from homalg.constructions import (
+    GeneratorConfig,
+    cayley_dickson_chain,
+    random_algebra,
+    random_linear_map,
+    truncated_poly,
+)
 from homalg.errors import DimensionMismatch, InvariantViolation
-from homalg.fields import QQ
+from homalg.fields import GF, QQ
 from homalg.linalg import Matrix, vec_add, vec_is_zero, vec_scale
 
 
@@ -73,6 +81,61 @@ def test_associator_vanishes_on_matrix_algebra(mat2):
 
 def test_octonions_not_associative(octonions):
     assert octonions.associativity_witness() is not None
+
+
+CORPUS = builtin_corpus()
+
+
+def _tensor_algebras():
+    """The builtin corpus, the sedenions over Q and GF(65521), and random
+    algebras of dimension 1-4 over Q (one with a non-integral pool), GF(2)
+    and GF(3) under every generator flag."""
+    out = list(CORPUS)
+    for field in (QQ, GF(65521)):
+        out.append((f"sedenions_{field.label}", cayley_dickson_chain(4, field=field)[4].base))
+    flags = ("none", "left_unital", "commutative", "anticommutative")
+    for dim in range(1, 5):
+        for field in (QQ, GF(2), GF(3)):
+            flag = flags[dim - 1]
+            cfg = GeneratorConfig(seed=dim, dim=dim, field=field, flag=flag)
+            out.append((f"random/{field.label}-d{dim}-{flag}", random_algebra(cfg)))
+    cfg = GeneratorConfig(seed=7, dim=3, field=QQ, pool=(F(1, 2), 0, F(-3, 4), 2))
+    out.append(("random/Q-d3-halves", random_algebra(cfg)))
+    return out
+
+
+TENSOR_ALGEBRAS = _tensor_algebras()
+
+
+@pytest.mark.parametrize("name,a", TENSOR_ALGEBRAS, ids=[n for n, _ in TENSOR_ALGEBRAS])
+def test_associator_tensor_matches_elementwise(name, a):
+    n = a.dim
+    basis = a.basis_elements()
+    tensor = a.associators
+    first = None
+    for i, j, k in iter_product(range(n), repeat=3):
+        value = a.associator(basis[i], basis[j], basis[k])
+        assert tensor[i][j][k] == value, (name, i, j, k)
+        if first is None and not vec_is_zero(value):
+            first = (i, j, k)
+    assert a.associativity_witness() == first
+    assert a.associators is tensor
+
+
+@pytest.mark.parametrize("name,a", CORPUS, ids=[n for n, _ in CORPUS])
+def test_hom_associativity_witness_is_first_nonzero_triple(name, a):
+    basis = a.basis_elements()
+    for seed in range(3):
+        h = HomAlgebra(a, random_linear_map(a.field, a.dim, seed))
+        first = next(
+            (
+                (i, j, k)
+                for i, j, k in iter_product(range(a.dim), repeat=3)
+                if not vec_is_zero(h.hom_associator(basis[i], basis[j], basis[k]))
+            ),
+            None,
+        )
+        assert h.hom_associativity_witness() == first, (name, seed)
 
 
 def test_commutator_self_is_zero(quaternions):

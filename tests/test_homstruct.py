@@ -587,8 +587,9 @@ ORACLE_ALGEBRAS = _oracle_algebras()
 @pytest.mark.parametrize("name,a", ORACLE_ALGEBRAS, ids=[name for name, _ in ORACLE_ALGEBRAS])
 def test_derived_subspaces_match_element_enumeration(name, a):
     # membership of every element, decided by direct products only, never
-    # by a solver: hu_t by the hom-associativity scan of its operator, the
-    # nucleus by basis associators in every slot, the annihilator by products,
+    # by a solver: hu_t by the hom-associativity scan of its operator, each
+    # slot nucleus by basis associators with x in that slot and the full
+    # nucleus by all three, the annihilator by products,
     # the multiplier space of a and of its opposite (ac_r) by its two identities
     n = a.dim
     basis = a.basis_elements()
@@ -597,19 +598,25 @@ def test_derived_subspaces_match_element_enumeration(name, a):
         "hu_t_left": hu_t(a, "left"),
         "hu_t_right": hu_t(a, "right"),
         "nucleus": subspaces.nucleus(a, "full"),
+        "nucleus_left": subspaces.nucleus(a, "left"),
+        "nucleus_middle": subspaces.nucleus(a, "middle"),
+        "nucleus_right": subspaces.nucleus(a, "right"),
         "ann_both": subspaces.annihilator(a, full, "both"),
     }
     multiplier_spaces = [(b, ac_l_subspace(b)) for b in (a, opposite(a))]
     zero = a.zero()
     for x in iter_product(range(a.field.p), repeat=n):
+        pairs = [(y, z) for y in basis for z in basis]
+        slots = {
+            "nucleus_left": all(a.associator(x, y, z) == zero for y, z in pairs),
+            "nucleus_middle": all(a.associator(y, x, z) == zero for y, z in pairs),
+            "nucleus_right": all(a.associator(y, z, x) == zero for y, z in pairs),
+        }
         oracle = {
             "hu_t_left": HomAlgebra(a, a.left_op(x)).is_hom_associative(),
             "hu_t_right": HomAlgebra(a, a.right_op(x)).is_hom_associative(),
-            "nucleus": all(
-                a.associator(x, y, z) == a.associator(y, x, z) == a.associator(y, z, x) == zero
-                for y in basis
-                for z in basis
-            ),
+            "nucleus": all(slots.values()),
+            **slots,
             "ann_both": all(
                 a.multiply(x, y) == a.multiply(y, x) == zero for y in basis
             ),

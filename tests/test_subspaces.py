@@ -67,11 +67,6 @@ def test_nucleus_sedenions_is_reals(sedenions):
     assert nucleus(sedenions, "full") == span1(sedenions)
 
 
-def test_relative_nucleus_spans_both_arguments(octonions):
-    # relative to the real line everything associates
-    assert nucleus(octonions, "full", span1(octonions)).is_full()
-
-
 # -- annihilators ------------------------------------------------------------------
 
 
