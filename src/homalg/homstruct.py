@@ -3,17 +3,20 @@ families, and the one- and two-sided structure theorems with their
 verification machinery.
 
 Everything here reduces to exact kernel computations, one system per
-defining identity; ``hu_t`` and ``ac_l_subspace`` are composed from solved
-subspaces instead.  ``hu_t`` is the preimage of the twist space under
+defining identity; ``hu_t`` and the multiplier spaces are composed from
+solved subspaces instead.  ``hu_t`` is the preimage of the twist space under
 x -> L_x (or R_x).  ``ac_l_subspace`` is defined by a(xy) = x(ay) and
 (ax)(yz) = a((xy)z); the first on the pair (xy, z) gives a((xy)z) = (xy)(az),
 so given the first the second says that L_a is a twist, and the space is
 ``hu_t(a, "left")`` met with the solutions of the first alone.  Basis-triple
-scans read ``Algebra.associators``.  The right-sided operations are
-implemented once, on the opposite algebra, and re-labeled.  The solvers
-returning a subspace are memoized per algebra value in bounded lru caches, so
-each result must stay immutable; nothing returning an Algebra is cached,
-because Algebra equality ignores the basis labels.
+scans read ``Algebra.associators``.  Right-sided results are solved on the
+algebra itself with ``side="right"``: an algebra and its opposite have the
+same twist space, since (xy)alpha(z) = alpha(x)(yz) on (x, y, z) is the
+opposite's identity on (z, y, x), and R_x is L_x of the opposite, so one
+twist system serves both sides.  The solvers returning a subspace are
+memoized per algebra value in bounded lru caches, so each result must stay
+immutable; nothing returning an Algebra is cached, because Algebra equality
+ignores the basis labels.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import lru_cache
 
 from homalg.algebra import Algebra, HomAlgebra, max_dim
 from homalg.algebra import is_idempotent_elem, is_idempotent_map
-from homalg.constructions import opposite, opposite_hom
+from homalg.constructions import ac_unitalized_by_eigenspaces, opposite, opposite_hom
 from homalg.errors import (
     InternalCheckFailure,
     NotTwoSidedUnital,
@@ -38,9 +41,11 @@ from homalg.linalg import (
     NullspaceSolver,
     Subspace,
     as_fractions,
+    is_direct_sum,
     kernel,
     meet,
     meet_all,
+    solve_affine,
     unflatten_matrix,
     vec_add,
     vec_is_zero,
@@ -137,6 +142,21 @@ def hu_t(a: Algebra, side: str = "left") -> Subspace:
     return kernel(twist_space(a).space.perp().basis.matmul(op_of))
 
 
+def _multiplier_space(a: Algebra, side: str) -> Subspace:
+    """hu_t(a, side) met with the commuting space of ``a`` (left) or of its
+    opposite (right): the solutions of x(e_i e_j) = e_i(x e_j), one cubic
+    block solve of R_{e_i e_j} - L_{e_i} R_{e_j} on basis pairs.  A zero
+    commuting space forces a zero meet, and hu_t is not solved."""
+    b = a if side == "left" else opposite(a)
+    n = b.dim
+    fam_lr = _op_family(b)
+    blocks = (b.right_op(b.products[i][j]).sub(fam_lr[i][j]) for i in range(n) for j in range(n))
+    commuting = sub._solve_blocks(b, blocks)
+    if commuting.is_zero():
+        return commuting
+    return meet(hu_t(a, side), commuting)
+
+
 @lru_cache(maxsize=32)
 def ac_l_subspace(a: Algebra) -> Subspace:
     """Elements a with a(xy) = x(ay) (L_a commutes with every L_x) and
@@ -145,27 +165,16 @@ def ac_l_subspace(a: Algebra) -> Subspace:
     The first identity on the pair (xy, z) gives a((xy)z) = (xy)(az), so
     where it holds the second reads (ax)(yz) = (xy)(az): L_a is a twist.
     The space is therefore the meet of hu_t(a, "left") with the solutions
-    of the first identity, R_{e_i e_j} - L_{e_i} R_{e_j} on basis pairs.
-    A zero commuting space forces a zero meet, and hu_t is not solved."""
-    n = a.dim
-    fam_lr = _op_family(a)
-    commuting = sub._solve_blocks(
-        a,
-        (
-            a.right_op(a.products[i][j]).sub(fam_lr[i][j])
-            for i in range(n)
-            for j in range(n)
-        ),
-    )
-    if commuting.is_zero():
-        return commuting
-    return meet(hu_t(a, "left"), commuting)
+    of the first identity."""
+    return _multiplier_space(a, "left")
 
 
+@lru_cache(maxsize=32)
 def ac_r_subspace(a: Algebra) -> Subspace:
-    """Right-sided counterpart, computed on the opposite algebra (the
-    defining operator identities transport verbatim)."""
-    return ac_l_subspace(opposite(a))
+    """``ac_l_subspace(opposite(a))``, solved on ``a``: the opposite has the
+    same twist space and its L_x is R_x, so its hu_t(., "left") is
+    hu_t(a, "right"); only the commuting space is solved on the opposite."""
+    return _multiplier_space(a, "right")
 
 
 @dataclass(frozen=True)
@@ -180,35 +189,32 @@ class AcOneSided:
 
 @lru_cache(maxsize=32)
 def ac_one_sided(a: Algebra, side: str = "left") -> AcOneSided:
-    """The one-sided multiplier subspace, its unity-stable subalgebra, and
-    the direct-sum split against the annihilator.
+    """The one-sided multiplier subspace, its unity-stable subalgebra (the
+    image under R_u for a left unity u, under L_u for a right one), and the
+    direct-sum split against the annihilator on that side.
 
     Raises NotUnitalOnSide without a unity on the requested side and
     InternalCheckFailure if either characterization cross-check fails.
     """
-    if side == "right":
-        res = ac_one_sided(opposite(a), "left")
-        return AcOneSided("right", res.unity, res.ac, res.ac_unit, res.ann, res.split_ok)
-    if side != "left":
+    if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
-    unities = sub.find_unities(a, "left")
+    unities = sub.find_unities(a, side)
     if unities.is_empty:
-        raise NotUnitalOnSide("no left unity")
+        raise NotUnitalOnSide(f"no {side} unity")
     unity = unities.particular
-    ac = ac_l_subspace(a)
-    ac_unit = ac.image_under(a.right_op(unity))
-    fixed = meet(ac, kernel(a.right_op(unity).sub(Matrix.identity(a.field, a.dim))))
+    ac = (ac_l_subspace if side == "left" else ac_r_subspace)(a)
+    unity_op = (a.right_op if side == "left" else a.left_op)(unity)
+    ac_unit = ac.image_under(unity_op)
+    fixed = meet(ac, kernel(unity_op.sub(Matrix.identity(a.field, a.dim))))
     if ac_unit != fixed:
         raise InternalCheckFailure(
             "image under the unity differs from the unity-fixed subspace"
         )
-    ann = sub.annihilator(a, Subspace.full(a.field, a.dim), "left")
-    from homalg.linalg import is_direct_sum
-
+    ann = sub.annihilator(a, Subspace.full(a.field, a.dim), side)
     split_ok = is_direct_sum(ac_unit, ann, ac)
     if not split_ok:
         raise InternalCheckFailure("split of the multiplier space failed")
-    return AcOneSided("left", unity, ac, ac_unit, ann, split_ok)
+    return AcOneSided(side, unity, ac, ac_unit, ann, split_ok)
 
 
 @lru_cache(maxsize=32)
@@ -224,26 +230,16 @@ def hu_n(a: Algebra, variant: str = "two_sided") -> Subspace:
                 sub.annihilator(a, assoc_span, "left"),
             ]
         )
-    prod_span = sub.span_of(a, "products")
-    if variant == "left":
-        return meet_all(
-            [
-                sub.centralizer(a, prod_span),
-                sub.nucleus(a, "left"),
-                sub.nucleus(a, "middle"),
-                sub.annihilator(a, assoc_span, "left"),
-            ]
-        )
-    if variant == "right":
-        return meet_all(
-            [
-                sub.centralizer(a, prod_span),
-                sub.nucleus(a, "middle"),
-                sub.nucleus(a, "right"),
-                sub.annihilator(a, assoc_span, "right"),
-            ]
-        )
-    raise ValueError(f"unknown variant {variant!r}")
+    if variant not in ("left", "right"):
+        raise ValueError(f"unknown variant {variant!r}")
+    return meet_all(
+        [
+            sub.centralizer(a, sub.span_of(a, "products")),
+            sub.nucleus(a, variant),
+            sub.nucleus(a, "middle"),
+            sub.annihilator(a, assoc_span, variant),
+        ]
+    )
 
 
 def ac_two_sided(a: Algebra) -> Subspace:
@@ -311,8 +307,6 @@ def multiplicativity_report(h: HomAlgebra, unity, side: str = "left") -> dict:
     if report["all_hold"]:
         # a multiplicative unital twist that is injective, or whose image
         # contains the unity, forces plain associativity
-        from homalg.linalg import solve_affine
-
         injective = kernel(tw).is_zero()
         unity_in_image = not solve_affine(tw, tuple(unity)).is_empty
         report["forces_associativity"] = injective or unity_in_image
@@ -469,7 +463,8 @@ def relation_tables_check(h: HomAlgebra, unity, side: str = "left") -> dict:
 
 def bijection_report(a: Algebra, side: str = "left") -> dict:
     """Verifies the correspondence between twist maps and unity-stable
-    multipliers on a one-sided unital algebra:
+    multipliers on a one-sided unital algebra, through the multiplication
+    operator on that side (L_b for left, R_b for right):
 
     - dimension equality and the mutually inverse unit-evaluation /
       multiplication-operator maps on bases,
@@ -477,27 +472,25 @@ def bijection_report(a: Algebra, side: str = "left") -> dict:
     - idempotent multipliers correspond exactly to multiplicative twists,
     - in the associative case the center embeds into the multiplier space.
     """
-    if side == "right":
-        rep = bijection_report(opposite(a), "left")
-        return {**rep, "side": "right"}
-    if side != "left":
+    if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
-    acs = ac_one_sided(a, "left")
+    op = a.left_op if side == "left" else a.right_op
+    acs = ac_one_sided(a, side)
     ts = twist_space(a)
     unity = acs.unity
     f = a.field
 
     dims_equal = ts.dim == acs.ac_unit.dim
     psi_phi = all(
-        acs.ac_unit.contains(m.apply(unity)) and a.left_op(m.apply(unity)) == m
+        acs.ac_unit.contains(m.apply(unity)) and op(m.apply(unity)) == m
         for m in ts.maps
     )
     phi_psi = all(
-        ts.contains_map(a.left_op(b)) and a.left_op(b).apply(unity) == tuple(b)
+        ts.contains_map(op(b)) and op(b).apply(unity) == tuple(b)
         for b in acs.ac_unit.basis.rows
     )
     compat = all(
-        HomAlgebra(a, a.left_op(b)).is_hom_associative()
+        HomAlgebra(a, op(b)).is_hom_associative()
         for b in acs.ac.basis.rows
     )
 
@@ -505,7 +498,7 @@ def bijection_report(a: Algebra, side: str = "left") -> dict:
     try:
         idems = sub.idempotents(a, acs.ac_unit)
         forward = all(
-            HomAlgebra(a, a.left_op(e)).is_multiplicative() for e in idems
+            HomAlgebra(a, op(e)).is_multiplicative() for e in idems
         )
         candidates = list(acs.ac_unit.basis.rows)
         rows = acs.ac_unit.basis.rows
@@ -515,7 +508,7 @@ def bijection_report(a: Algebra, side: str = "left") -> dict:
             for j in range(i, len(rows))
         ]
         backward = all(
-            HomAlgebra(a, a.left_op(c)).is_multiplicative()
+            HomAlgebra(a, op(c)).is_multiplicative()
             == is_idempotent_elem(a, c)
             for c in candidates
         )
@@ -540,7 +533,7 @@ def bijection_report(a: Algebra, side: str = "left") -> dict:
         and assoc_case.get("center_in_ac", True)
     )
     return {
-        "side": "left",
+        "side": side,
         "dim_twist": ts.dim,
         "dim_ac_unit": acs.ac_unit.dim,
         "dims_equal": dims_equal,
@@ -845,8 +838,6 @@ def structure_theorem_audit(a: Algebra, unitalize_limit: int = 8) -> HomStructur
             f"unitalization dim {n + 1} exceeds HOMALG_MAX_DIM={max_dim()}",
         )
     else:
-        from homalg.constructions import ac_unitalized_by_eigenspaces
-
         try:
             ac_unitalized_by_eigenspaces(a)
             record("unitalization_eigenspace_route", True)

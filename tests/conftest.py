@@ -20,6 +20,7 @@ MEMOIZED = (
     homstruct._op_family,
     homstruct.hu_t,
     homstruct.ac_l_subspace,
+    homstruct.ac_r_subspace,
     homstruct.hu_n,
     homstruct.ac_one_sided,
 )

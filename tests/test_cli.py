@@ -290,6 +290,16 @@ def test_missing_unity_exit_one(tmp_path, capsys):
     assert main(["ac", str(path), "--side", "two"]) == 1
 
 
+def test_missing_right_unity_names_the_right_side(tmp_path, capsys):
+    # projection2 has left unities only
+    path = tmp_path / "p2.json"
+    emit(projection_algebra(), path)
+    assert main(["ac", str(path), "--side", "right"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "homalg: no right unity\n"
+
+
 def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["ac", "missing.json"])  # --side required

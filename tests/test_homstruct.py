@@ -1,5 +1,6 @@
 """Twist spaces, hom-unity subspaces, structure theorems, reports."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product as iter_product
 
@@ -8,7 +9,7 @@ import pytest
 from conftest import MEMOIZED, NIL2, clear_memo, fpalg, projection_tensor, qalg
 from homalg import subspaces
 from homalg.algebra import Algebra, HomAlgebra
-from homalg.campaign import algebra_checks, builtin_corpus
+from homalg.campaign import algebra_checks, builtin_corpus, generated_algebras
 from homalg.constructions import (
     GeneratorConfig,
     opposite,
@@ -205,6 +206,45 @@ def test_ac_right_is_left_of_opposite(proj2):
     acs = ac_one_sided(op, "right")
     assert acs.ac.dim == 2
     assert acs.ac_unit.dim == 1
+
+
+def _transport_inputs():
+    """Small algebras of every flag, each together with its opposite (so
+    that left- and right-unital inputs both occur).  e0 e1 = e0 has
+    hu_n(a, "left") != hu_n(a, "right"), which none of the others has."""
+    base = builtin_corpus() + generated_algebras(40)
+    base.append(("e0e1=e0", fpalg(2, [[[0, 0], [1, 0]], [[0, 0], [0, 0]]])))
+    for p in (2, 3):
+        for dim in (1, 2, 3):
+            for flag in ("none", "left_unital", "commutative", "anticommutative"):
+                cfg = GeneratorConfig(seed=10 * p + dim, dim=dim, field=GF(p), flag=flag)
+                base.append((f"random/F{p}-d{dim}-{flag}", random_algebra(cfg)))
+    return [
+        (label, b)
+        for name, a in base
+        for label, b in ((name, a), (f"{name}/opposite", opposite(a)))
+    ]
+
+
+def test_right_side_matches_opposite_transport():
+    # reference: each right-sided result as the left-sided one of the
+    # opposite algebra, relabelled "right"
+    right_unital = 0
+    for name, a in _transport_inputs():
+        op = opposite(a)
+        assert twist_space(op).space == twist_space(a).space, name
+        assert hu_t(op, "left") == hu_t(a, "right"), name
+        assert hu_n(a, "right") == hu_n(op, "left"), name
+        assert ac_r_subspace(a) == ac_l_subspace(op), name
+        if find_unities(a, "right").is_empty:
+            with pytest.raises(NotUnitalOnSide, match="no right unity"):
+                ac_one_sided(a, "right")
+            continue
+        right_unital += 1
+        assert ac_one_sided(a, "right") == replace(ac_one_sided(op, "left"), side="right"), name
+        reference = {**bijection_report(op, "left"), "side": "right"}
+        assert bijection_report(a, "right") == reference, name
+    assert right_unital >= 20
 
 
 def test_ac_meet_of_one_sided_on_unital(quaternions, mat2):
@@ -447,16 +487,27 @@ def test_audit_computes_each_subspace_once(octonions):
     structure_theorem_audit(octonions, unitalize_limit=0)
     misses = {
         fn.__name__: fn.cache_info().misses
-        for fn in (ac_l_subspace, hu_n, subspaces.nucleus, span_of, twist_space)
+        for fn in (
+            ac_l_subspace,
+            ac_r_subspace,
+            hu_t,
+            hu_n,
+            subspaces.nucleus,
+            span_of,
+            twist_space,
+        )
     }
-    # distinct inputs: a and its opposite; three hu_n variants; four nucleus
-    # slots; three span kinds; the twist space of a and of its opposite
+    # distinct inputs: one multiplier space per side; hu_t on both sides;
+    # three hu_n variants; four nucleus slots; three span kinds; one twist
+    # space, shared by both sides (none for the opposite algebra)
     assert misses == {
-        "ac_l_subspace": 2,
+        "ac_l_subspace": 1,
+        "ac_r_subspace": 1,
+        "hu_t": 2,
         "hu_n": 3,
         "nucleus": 4,
         "span_of": 3,
-        "twist_space": 2,
+        "twist_space": 1,
     }
     assert all(fn.cache_info().maxsize is not None for fn in MEMOIZED)
 
