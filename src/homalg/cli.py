@@ -47,11 +47,13 @@ def _parse_field(text: str):
     raise ParseError(f"bad field {text!r} (expected Q or Fp:<prime>)")
 
 
+def _base_of(x) -> Algebra:
+    """The algebra of a parsed file: the base of a hom- or involutive algebra."""
+    return x.base if isinstance(x, (HomAlgebra, InvolutiveAlgebra)) else x
+
+
 def _load_algebra(path) -> Algebra:
-    x = fileio.parse(path)
-    if isinstance(x, (HomAlgebra, InvolutiveAlgebra)):
-        return x.base
-    return x
+    return _base_of(fileio.parse(path))
 
 
 def _emit(x, path, meta=None):
@@ -136,7 +138,7 @@ def _twist_from_args(a: Algebra, x, args):
 
 def cmd_yau(args) -> int:
     x = fileio.parse(args.file)
-    a = x.base if isinstance(x, (HomAlgebra, InvolutiveAlgebra)) else x
+    a = _base_of(x)
     alpha = _twist_from_args(a, x, args)
     if alpha is None:
         raise ParseError("one of --twist-from-file / --left-mult / --right-mult is required")
@@ -163,7 +165,7 @@ def cmd_poly(args) -> int:
 
 def cmd_leibniz(args) -> int:
     x = fileio.parse(args.file)
-    a = x.base if isinstance(x, (HomAlgebra, InvolutiveAlgebra)) else x
+    a = _base_of(x)
     doc: dict = {"tool": reports.tool_stamp()}
     ok_l, wit_l = leibniz.leibniz_check(a, "left")
     ok_r, wit_r = leibniz.leibniz_check(a, "right")
@@ -220,9 +222,7 @@ def cmd_campaign(args) -> int:
         if not corpus.is_dir():
             raise ParseError(f"not a directory: {corpus}")
         for path in sorted(corpus.glob("*.json")):
-            x = fileio.parse(path)
-            a = x.base if isinstance(x, (HomAlgebra, InvolutiveAlgebra)) else x
-            named.append((f"corpus/{path.name}", a))
+            named.append((f"corpus/{path.name}", _load_algebra(path)))
     if not args.no_builtin:
         named.extend(camp.builtin_corpus())
     named.extend(camp.generated_algebras(args.seeds))

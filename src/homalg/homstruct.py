@@ -142,16 +142,21 @@ def hu_t(a: Algebra, side: str = "left") -> Subspace:
     return kernel(twist_space(a).space.perp().basis.matmul(op_of))
 
 
-def _multiplier_space(a: Algebra, side: str) -> Subspace:
-    """hu_t(a, side) met with the commuting space of ``a`` (left) or of its
-    opposite (right): the solutions of x(e_i e_j) = e_i(x e_j), one cubic
-    block solve of R_{e_i e_j} - L_{e_i} R_{e_j} on basis pairs.  A zero
-    commuting space forces a zero meet, and hu_t is not solved."""
-    b = a if side == "left" else opposite(a)
+@lru_cache(maxsize=32)
+def _commuting_space(b: Algebra) -> Subspace:
+    """Solutions of x(e_i e_j) = e_i(x e_j): one cubic block solve of
+    R_{e_i e_j} - L_{e_i} R_{e_j} on basis pairs, cached per algebra value, so
+    a commutative algebra (equal to its opposite) solves it once for both sides."""
     n = b.dim
     fam_lr = _op_family(b)
     blocks = (b.right_op(b.products[i][j]).sub(fam_lr[i][j]) for i in range(n) for j in range(n))
-    commuting = sub._solve_blocks(b, blocks)
+    return sub._solve_blocks(b, blocks)
+
+
+def _multiplier_space(a: Algebra, side: str) -> Subspace:
+    """hu_t(a, side) met with the commuting space of ``a`` (left) or of its
+    opposite (right); a zero commuting space forces a zero meet, hu_t unsolved."""
+    commuting = _commuting_space(a if side == "left" else opposite(a))
     if commuting.is_zero():
         return commuting
     return meet(hu_t(a, side), commuting)

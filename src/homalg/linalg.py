@@ -292,10 +292,10 @@ class NullspaceSolver:
         if self._rational:
             irow = _q_row_to_int(row)
             kernels.row_primitive_int(irow)
-            self._push_int(irow)
+            self._push(irow)
         else:
             p = self.field.p
-            self._push_fp([v % p for v in row])
+            self._push([v % p for v in row])
 
     def add_sparse(self, pairs):
         """pairs: iterable of (column, raw value); columns may repeat."""
@@ -307,25 +307,19 @@ class NullspaceSolver:
             row[c] = f.add(row[c], v)
         self.add_dense(row)
 
-    def _push_int(self, irow):
-        if not any(irow):
-            return
-        key = tuple(irow)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self._pool.append(irow)
-        self._pending.append([v % _CERT_PRIME for v in irow])
-        if len(self._pending) >= _CHUNK:
-            self._flush()
-
-    def _push_fp(self, row):
+    def _push(self, row):
+        """Queue one new nonzero row for the modular flush: residues over F_p;
+        over Q a primitive integer row, pooled for the exact pass and reduced
+        only after the duplicate check, as most rows offered are duplicates."""
         if not any(row):
             return
         key = tuple(row)
         if key in self._seen:
             return
         self._seen.add(key)
+        if self._rational:
+            self._pool.append(row)
+            row = [v % _CERT_PRIME for v in row]
         self._pending.append(row)
         if len(self._pending) >= _CHUNK:
             self._flush()
@@ -436,9 +430,9 @@ class Subspace:
                 raise DimensionMismatch(
                     f"row length {len(r)} vs ambient {ambient_dim}"
                 )
-        if not rows:
+        red, pivots = _reduce(field, rows) if rows else ((), ())
+        if not red:
             return cls.zero(field, ambient_dim)
-        red, pivots = _reduce(field, rows)
         return cls(field, ambient_dim, Matrix(field, red), pivots)
 
     @classmethod

@@ -12,7 +12,9 @@ stay immutable.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product as iter_product
+from fractions import Fraction
+from itertools import combinations, product as iter_product
+from math import isqrt, lcm
 
 from homalg.algebra import Algebra
 from homalg.errors import (
@@ -31,7 +33,6 @@ from homalg.linalg import (
     meet_all,
     solve_affine,
     vec_add,
-    vec_is_zero,
     vec_scale,
     vec_sub,
 )
@@ -156,9 +157,13 @@ def idempotents(a: Algebra, within: Subspace, cap: int = 1 << 20) -> list:
     """All x in ``within`` with x*x = x.
 
     Over a prime field: exhaustive enumeration in the coordinates of
-    ``within`` (guarded by ``cap``).  Over Q: closed-form solution, available
-    for dim(within) <= 2 only; an infinite solution family raises
-    SearchSpaceTooLarge.
+    ``within`` (guarded by ``cap``).  Over Q, for dim(within) <= 2 only: a
+    nonzero idempotent is v/mu for a direction v with v*v = mu v, mu != 0,
+    checked exactly for each candidate: the basis vector b, or b1 and
+    s b1 + b2 for each rational root s of the first nonzero 2x2 minor of
+    [v*v | v], a cubic in s.  If every minor vanishes, every line is an
+    eigenline: an infinite family (SearchSpaceTooLarge) unless squares
+    vanish on ``within``, when only 0 is idempotent.
     """
     _check_subspace(a, within)
     field = a.field
@@ -181,76 +186,72 @@ def idempotents(a: Algebra, within: Subspace, cap: int = 1 << 20) -> list:
         )
     if k == 0:
         return [a.zero()]
-    if k == 1:
-        return _idempotents_q_dim1(a, basis[0])
-    return _idempotents_q_dim2(a, basis)
-
-
-def _idempotents_q_dim1(a: Algebra, b) -> list:
-    # (s b)^2 = s b  <=>  s^2 (b b) = s b; nonzero s needs b b parallel to b
-    bb = a.multiply(b, b)
-    out = [a.zero()]
-    if vec_is_zero(bb):
-        return out
-    ratio = None
-    for x, y in zip(bb, b):
-        if y == 0:
-            if x != 0:
-                return out
-        else:
-            r = a.field.div(x, y)
-            if ratio is None:
-                ratio = r
-            elif ratio != r:
-                return out
-    if ratio:  # b b = ratio * b with ratio nonzero -> s = 1/ratio
-        out.append(vec_scale(a.field, a.field.div(1, ratio), b))
-    return sorted(out)
-
-
-def _idempotents_q_dim2(a: Algebra, basis) -> list:
-    import sympy
-
-    s, t = sympy.symbols("s t", rational=True)
-    b1, b2 = basis
-    q11 = a.multiply(b1, b1)
-    q12 = a.multiply(b1, b2)
-    q21 = a.multiply(b2, b1)
-    q22 = a.multiply(b2, b2)
-    equations = []
-    for m in range(a.dim):
-        expr = (
-            sympy.Rational(q11[m]) * s**2
-            + (sympy.Rational(q12[m]) + sympy.Rational(q21[m])) * s * t
-            + sympy.Rational(q22[m]) * t**2
-            - sympy.Rational(b1[m]) * s
-            - sympy.Rational(b2[m]) * t
-        )
-        if expr != 0:
-            equations.append(expr)
-    if not equations:
-        # every element idempotent is impossible over Q for a nonzero space
-        raise SearchSpaceTooLarge("degenerate quadratic system")
-    solutions = sympy.solve(equations, [s, t], dict=True)
-    out = []
-    for sol in solutions:
-        vs = sol.get(s, s)
-        vt = sol.get(t, t)
-        if vs.free_symbols or vt.free_symbols:
-            raise SearchSpaceTooLarge("infinite family of idempotents")
-        try:
-            rs = sympy.Rational(vs)
-            rt = sympy.Rational(vt)
-        except (TypeError, ValueError):
-            continue  # irrational solution, not an element over Q
-        cs = a.field.div(int(rs.p), int(rs.q))
-        ct = a.field.div(int(rt.p), int(rt.q))
-        x = vec_add(a.field, vec_scale(a.field, cs, b1), vec_scale(a.field, ct, b2))
-        out.append(x)
-    zero = a.zero()
-    if zero not in out:
-        out.append(zero)
+    out = {a.zero()}
+    for v in _eigenline_candidates(a, basis):
+        vv = a.multiply(v, v)
+        c = next(i for i, x in enumerate(v) if x)
+        mu = field.div(vv[c], v[c])
+        if mu and vv == vec_scale(field, mu, v):
+            out.add(vec_scale(field, field.div(1, mu), v))
     for x in out:
         if a.multiply(x, x) != x:
             raise SearchSpaceTooLarge("solver returned a non-idempotent")
-    return sorted(set(out))
+    return sorted(out)
+
+
+def _eigenline_candidates(a: Algebra, basis) -> list:
+    """Directions v in span(basis) over Q that may satisfy v*v = mu v."""
+    if len(basis) == 1:
+        return list(basis)
+    b1, b2 = basis
+    cross = vec_add(a.field, a.multiply(b1, b2), a.multiply(b2, b1))
+    # (s b1 + b2)^2 and s b1 + b2, coordinatewise, lowest degree in s first
+    square = list(zip(a.multiply(b2, b2), cross, a.multiply(b1, b1)))
+    line = list(zip(b2, b1))
+    for i, j in combinations(range(a.dim), 2):
+        minor = [0] * 4
+        for u, w in iter_product(range(3), range(2)):
+            minor[u + w] += square[i][u] * line[j][w] - square[j][u] * line[i][w]
+        if any(minor):
+            roots = _rational_roots(minor)
+            return [b1] + [vec_add(a.field, vec_scale(a.field, s, b1), b2) for s in roots]
+    if not any(any(q) for q in square):
+        return []
+    raise SearchSpaceTooLarge("infinite family of idempotents")
+
+
+def _rational_roots(poly) -> list:
+    """Ascending rational roots of a nonzero polynomial over Q of degree <= 3
+    (coefficients lowest degree first), with no floats and no factoring.
+    Cleared of denominators and with y = lead * x it is monic over Z, so its
+    rational roots are integers; it is monotone between cuts at each integer
+    within 1 of a real critical point, and bisection finds them there."""
+    while not poly[-1]:
+        poly = poly[:-1]
+    den = lcm(*(c.denominator for c in poly))
+    ints = [int(c * den) for c in poly]
+    d, lead = len(ints) - 1, ints[-1]
+    p = [c * lead ** (d - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+    bound = 1 + max(map(abs, p[:-1]), default=0)  # Cauchy bound on |root|
+    brackets = []  # (lo, hi, q): a critical point lies in [lo/q, hi/q]
+    if d == 2:
+        brackets.append((-p[1], -p[1], 2))
+    elif d == 3 and p[2] ** 2 >= 3 * p[1]:
+        r = isqrt(p[2] ** 2 - 3 * p[1])
+        brackets += [(-p[2] - r - 1, -p[2] - r, 3), (-p[2] + r, -p[2] + r + 1, 3)]
+    cuts = {-bound, bound}
+    for lo, hi, q in brackets:
+        cuts.update(range(lo // q, -(-hi // q) + 1))
+
+    def value(y):
+        return sum(c * y**i for i, c in enumerate(p))
+
+    cuts = sorted(cuts)
+    candidates = set(cuts)
+    for lo, hi in zip(cuts, cuts[1:]):
+        negative = value(lo) < 0
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if (value(mid) < 0) == negative else (lo, mid)
+        candidates.update((lo, hi))
+    return [Fraction(y, lead) for y in sorted(candidates) if value(y) == 0]

@@ -7,7 +7,7 @@ from itertools import product as iter_product
 import pytest
 
 from conftest import MEMOIZED, NIL2, clear_memo, fpalg, projection_tensor, qalg
-from homalg import subspaces
+from homalg import homstruct, subspaces
 from homalg.algebra import Algebra, HomAlgebra
 from homalg.campaign import algebra_checks, builtin_corpus, generated_algebras
 from homalg.constructions import (
@@ -520,6 +520,18 @@ def test_zero_commuting_space_skips_the_twist_solve():
     assert ac_l_subspace(a).is_zero()
     assert twist_space.cache_info().misses == 0
     assert hu_t.cache_info().misses == 0
+
+
+def test_commutative_algebra_solves_its_commuting_space_once():
+    # a commutative algebra equals its opposite, so the right side reuses
+    # the commuting space the left side solved
+    a = random_algebra(GeneratorConfig(seed=7, dim=3, field=QQ, flag="commutative"))
+    assert opposite(a) == a
+    clear_memo()
+    ac_l_subspace(a)
+    ac_r_subspace(a)
+    info = homstruct._commuting_space.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def _memo_calls(a):

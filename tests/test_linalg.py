@@ -221,6 +221,14 @@ def test_zero_row_matrices_keep_their_width(field):
     assert kernel(m).is_full()
 
 
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "F2"])
+def test_span_of_zero_rows_keeps_its_ambient_width(field):
+    # only zero rows: the zero subspace of field^2, not one of width 0
+    got = Subspace.full(field, 2).image_under(Matrix.zero(field, 2, 2))
+    assert got == Subspace.zero(field, 2)
+    assert got.basis.ncols == 2
+
+
 @pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
 def test_transpose_of_a_rowless_matrix_has_rows(field):
     # the 0x3 basis of the zero subspace transposes to 3x0, which maps the

@@ -1,7 +1,12 @@
 """Centralizers, nuclei, annihilators, spans, unity sets, idempotents."""
 
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import product as iter_product
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +24,7 @@ from homalg.subspaces import (
     nucleus,
     span_of,
 )
+from homalg.subspaces import _rational_roots
 
 
 def full(a):
@@ -210,6 +216,98 @@ def test_idempotents_split_pair():
         (F(1), F(0)),
         (F(1), F(1)),
     ]
+
+
+def test_idempotents_three_rational_directions_one_of_them_b1():
+    # Q x Q in the basis c0 = 2u, c1 = u + 3w (u, w the componentwise
+    # idempotents): u = c0/2 lies on the line of b1 = c0, and w = (c1 - u)/3
+    # and u + w are fractional
+    a = qalg([[[2, 0], [1, 0]], [[1, 0], [-1, 3]]])
+    got = idempotents(a, full(a))
+    assert got == [
+        (F(-1, 6), F(1, 3)),
+        (F(0), F(0)),
+        (F(1, 3), F(1, 3)),
+        (F(1, 2), F(0)),
+    ]
+
+
+def test_idempotents_irrational_square_root_gives_only_0_and_1():
+    # Q(r) with r^2 = 2: (s + r)^2 is parallel to s + r only for s^2 = 2
+    a = qalg([[[1, 0], [0, 1]], [[0, 1], [2, 0]]])
+    assert idempotents(a, full(a)) == [(F(0), F(0)), (F(1), F(0))]
+
+
+def test_idempotents_with_huge_coefficients_finish_exactly():
+    # Q x Q in the basis c0 = N u, c1 = u + M w with N, M near 10^60
+    n, m = 10**60 + 7, 3 * 10**59 + 1
+    a = qalg([[[n, 0], [1, 0]], [[1, 0], [F(1 - m, n), m]]])
+    got = idempotents(a, full(a))
+    assert got == sorted(
+        [(F(0), F(0)), (F(1, n), F(0)), (F(-1, n * m), F(1, m)), (F(m - 1, n * m), F(1, m))]
+    )
+
+
+def test_idempotents_grid_oracle_over_q():
+    # every small-height s b1 + t b2 that is idempotent is found, and
+    # everything found is idempotent
+    heights = sorted({F(p, q) for p in range(-4, 5) for q in range(1, 4)})
+    nonzero = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.choice([2, 3])
+        entry = lambda: rng.choice([0, 0, 1, -1, 2])
+        tensor = [[[entry() for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        if seed % 2:
+            tensor[0][0] = [1] + [0] * (n - 1)  # plant the idempotent e0
+        a = qalg(tensor)
+        b2 = tuple(rng.randint(-2, 2) for _ in range(n))
+        within = Subspace.from_rows(QQ, n, [a.basis(0), b2])
+        if within.dim < 2:
+            continue
+        try:
+            got = idempotents(a, within)
+        except SearchSpaceTooLarge:
+            continue
+        assert all(a.multiply(x, x) == x for x in got)
+        b1, b2 = within.basis.rows
+        for s, t in iter_product(heights, repeat=2):
+            x = tuple(s * u + t * v for u, v in zip(b1, b2))
+            if a.multiply(x, x) == x:
+                assert x in got
+        nonzero += len(got) > 1
+    assert nonzero >= 10
+
+
+def test_rational_roots_of_products_of_linear_factors():
+    rng = random.Random(3)
+    for _ in range(50):
+        roots = [F(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(rng.randint(0, 3))]
+        poly = [F(rng.randint(1, 9), rng.randint(1, 5))]  # lowest degree first
+        for r in roots:
+            poly = [c - r * d for c, d in zip([F(0)] + poly, poly + [F(0)])]
+        assert _rational_roots(poly + [F(0)]) == sorted(set(roots))
+    assert _rational_roots([-2, 0, 0, 1]) == []  # x^3 = 2
+    assert _rational_roots([-1, 2, -1, 2]) == [F(1, 2)]  # (2x - 1)(x^2 + 1)
+
+
+def test_q_idempotent_search_does_not_import_sympy():
+    code = (
+        "import sys\n"
+        "from homalg.fields import QQ\n"
+        "from homalg.algebra import Algebra\n"
+        "from homalg.linalg import Subspace\n"
+        "from homalg.subspaces import idempotents\n"
+        "a = Algebra(QQ, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])\n"
+        "assert len(idempotents(a, Subspace.full(QQ, 2))) == 4\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_idempotents_dim_cap_over_q(quaternions):
