@@ -47,9 +47,8 @@ class Algebra:
         "dim",
         "tensor",
         "labels",
+        "_terms",
         "_associators",
-        "_left_mats",
-        "_right_mats",
         "_hash",
     )
 
@@ -66,9 +65,8 @@ class Algebra:
         self.labels = tuple(labels) if labels else None
         if self.labels and len(self.labels) != n:
             raise InvariantViolation("label list length != dim")
+        self._terms = None
         self._associators = None
-        self._left_mats = None
-        self._right_mats = None
         self._hash = None
 
     def __eq__(self, other):
@@ -105,13 +103,26 @@ class Algebra:
         return self.tensor
 
     @property
+    def terms(self):
+        """terms[i][j] = the nonzero coefficients of e_i e_j as ``(m, c)``
+        pairs, ascending in m, with c a raw scalar: the sparse structure
+        constant table that every operator and constraint row is built from.
+        Built once per algebra."""
+        if self._terms is None:
+            self._terms = tuple(
+                tuple(tuple((m, c) for m, c in enumerate(p) if c) for p in row)
+                for row in self.tensor
+            )
+        return self._terms
+
+    @property
     def associators(self):
-        """associators[i][j][k] = (e_i e_j) e_k - e_i (e_j e_k), built once from
-        the nonzero coefficients of the product table."""
+        """associators[i][j][k] = (e_i e_j) e_k - e_i (e_j e_k), built once
+        from ``terms``."""
         if self._associators is None:
             f = self.field
             n = self.dim
-            terms = [[[(m, c) for m, c in enumerate(p) if c] for p in row] for row in self.tensor]
+            terms = self.terms
 
             def assoc(i, j, k):
                 acc = [f.zero] * n
@@ -138,20 +149,16 @@ class Algebra:
         self._check_elem(y)
         f = self.field
         acc = [f.zero] * self.dim
-        tensor = self.tensor
+        terms = self.terms
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            ti = tensor[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
+            ti = terms[i]
+            for j, yj in ys:
                 coef = f.mul(xi, yj)
-                row = ti[j]
-                for k in range(self.dim):
-                    c = row[k]
-                    if c:
-                        acc[k] = f.add(acc[k], f.mul(coef, c))
+                for k, c in ti[j]:
+                    acc[k] = f.add(acc[k], f.mul(coef, c))
         return tuple(acc)
 
     def left_op(self, x) -> Matrix:
@@ -163,13 +170,9 @@ class Algebra:
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            ti = self.tensor[i]
-            for j in range(n):
-                row = ti[j]
-                for k in range(n):
-                    c = row[k]
-                    if c:
-                        out[k][j] = f.add(out[k][j], f.mul(xi, c))
+            for j, p in enumerate(self.terms[i]):
+                for k, c in p:
+                    out[k][j] = f.add(out[k][j], f.mul(xi, c))
         return Matrix(f, out)
 
     def right_op(self, x) -> Matrix:
@@ -181,27 +184,10 @@ class Algebra:
         for j, xj in enumerate(x):
             if not xj:
                 continue
-            for i in range(n):
-                row = self.tensor[i][j]
-                for k in range(n):
-                    c = row[k]
-                    if c:
-                        out[k][i] = f.add(out[k][i], f.mul(xj, c))
+            for i, row in enumerate(self.terms):
+                for k, c in row[j]:
+                    out[k][i] = f.add(out[k][i], f.mul(xj, c))
         return Matrix(f, out)
-
-    @property
-    def left_basis_ops(self):
-        if self._left_mats is None:
-            self._left_mats = tuple(self.left_op(self.basis(i)) for i in range(self.dim))
-        return self._left_mats
-
-    @property
-    def right_basis_ops(self):
-        if self._right_mats is None:
-            self._right_mats = tuple(
-                self.right_op(self.basis(i)) for i in range(self.dim)
-            )
-        return self._right_mats
 
     # -- derived operators -------------------------------------------------------
 
@@ -305,17 +291,33 @@ class HomAlgebra:
         )
 
     def hom_associativity_witness(self):
-        """Lexicographically first basis triple with nonzero hom-associator."""
+        """Lexicographically first basis triple with nonzero hom-associator.
+        (e_i e_j) alpha(e_k) sums the columns e_m alpha(e_k) of R_{alpha(e_k)}
+        over the nonzero terms of e_i e_j, and alpha(e_i) (e_j e_k) the columns
+        of L_{alpha(e_i)} over those of e_j e_k."""
         a = self.base
-        tw = self.twist
-        twisted = [tw.apply(a.basis(i)) for i in range(a.dim)]
-        right = [a.right_op(t) for t in twisted]
-        left = [a.left_op(t) for t in twisted]
-        for i in range(a.dim):
-            for j in range(a.dim):
-                uij = a.products[i][j]
-                for k in range(a.dim):
-                    if right[k].apply(uij) != left[i].apply(a.products[j][k]):
+        f = a.field
+        n = a.dim
+        terms = a.terms
+        twisted = [self.twist.apply(a.basis(i)) for i in range(n)]
+
+        def sparse_columns(m):
+            return [[(q, v) for q, v in enumerate(col) if v] for col in m.transpose().rows]
+
+        right = [sparse_columns(a.right_op(t)) for t in twisted]
+        left = [sparse_columns(a.left_op(t)) for t in twisted]
+
+        def combine(cols, pairs):
+            acc = [f.zero] * n
+            for m, c in pairs:
+                for q, v in cols[m]:
+                    acc[q] = f.add(acc[q], f.mul(c, v))
+            return acc
+
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    if combine(right[k], terms[i][j]) != combine(left[i], terms[j][k]):
                         return (i, j, k)
         return None
 

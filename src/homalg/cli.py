@@ -107,9 +107,10 @@ def cmd_ac(args) -> int:
 def cmd_cayley_dickson(args) -> int:
     field = _parse_field(args.field)
     if args.gamma:
-        gammas = [field.parse(g) for g in args.gamma.split(",")]
-        if len(gammas) != args.levels:
-            raise ParseError(f"need {args.levels} gamma values, got {len(gammas)}")
+        try:
+            gammas = [field.parse(g) for g in args.gamma.split(",")]
+        except ValueError as exc:
+            raise ParseError(f"bad gamma {args.gamma!r}: {exc}") from exc
     else:
         gammas = None
     chain = cayley_dickson_chain(args.levels, gammas, field)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from homalg.algebra import Algebra, HomAlgebra, InvolutiveAlgebra, check_dim
+from homalg.algebra import Algebra, HomAlgebra, InvolutiveAlgebra, check_dim, max_dim
 from homalg.errors import (
     DimensionMismatch,
     InternalCheckFailure,
@@ -100,7 +100,14 @@ _CHAIN_LABELS = {2: ("1", "i"), 4: ("1", "i", "j", "k")}
 
 def cayley_dickson_chain(levels: int, gammas=None, field: Field = QQ):
     """Levels of doubling starting from the field; returns the list of all
-    intermediate algebras (index k has dimension 2^k)."""
+    intermediate algebras (index k has dimension 2^k).  ``levels`` is checked
+    against the dimension cap before anything is allocated."""
+    if levels < 0:
+        raise DimensionMismatch(f"levels must be non-negative, got {levels}")
+    cap = max_dim()
+    if levels > cap.bit_length():
+        raise DimensionMismatch(f"{levels} levels exceed HOMALG_MAX_DIM={cap}")
+    check_dim(1 << levels)
     if gammas is None:
         gammas = [field.neg(field.one)] * levels
     if len(gammas) != levels:

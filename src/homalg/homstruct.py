@@ -17,11 +17,17 @@ twist system serves both sides.  The solvers returning a subspace are
 memoized per algebra value in bounded lru caches, so each result must stay
 immutable; nothing returning an Algebra is cached, because Algebra equality
 ignores the basis labels.
+
+Every constraint row is assembled from the sparse product table
+``Algebra.terms``, never from dense operator products.  The twist solve
+walks its basis triples in one fixed scrambled order, so how many rows it
+needs before the rank certificate stops it does not depend on the basis.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -54,6 +60,7 @@ from homalg import subspaces as sub
 
 _DOMAIN_SAMPLE_SEED = 0x5EED
 _DOMAIN_SAMPLES = 32
+_TRIPLE_ORDER_SEED = 0x7315
 
 
 # -- twist space -----------------------------------------------------------------
@@ -76,42 +83,64 @@ class TwistSpace:
         return self.space.contains(m.flatten())
 
 
+def _triple_order(n: int):
+    """The n^3 basis triples (i, j, k) in one fixed order that does not follow
+    the basis: a shuffle seeded by a constant."""
+    order = array("l", range(n**3))  # no int object per triple
+    random.Random(_TRIPLE_ORDER_SEED).shuffle(order)
+    nn = n * n
+    for t in order:
+        i, rest = divmod(t, nn)
+        yield (i,) + divmod(rest, n)
+
+
+def _sparse_product_ops(a: Algebra, side: str):
+    """``op(i, j)``: L_{e_i e_j} (side "left") or R_{e_i e_j} (side "right")
+    as sparse rows, row m the (q, v) pairs of its nonzero entries.  Each
+    operator is built on first use and kept for the caller's solve."""
+    n = a.dim
+    f = a.field
+    terms = a.terms
+    cache = {}
+
+    def op(i, j):
+        rows = cache.get((i, j))
+        if rows is None:
+            acc = [[f.zero] * n for _ in range(n)]
+            for t, c in terms[i][j]:
+                for q in range(n):
+                    for m, v in terms[t][q] if side == "left" else terms[q][t]:
+                        acc[m][q] = f.add(acc[m][q], f.mul(c, v))
+            rows = [[(q, v) for q, v in enumerate(row) if v] for row in acc]
+            cache[(i, j)] = rows
+        return rows
+
+    return op
+
+
 @lru_cache(maxsize=32)
 def twist_space(a: Algebra) -> TwistSpace:
     """Kernel, over the n^2 twist entries, of the n^4 hom-associativity
-    equations on basis triples.  Each returned basis map is re-checked by the
+    equations (e_i e_j) alpha(e_k) = alpha(e_i) (e_j e_k) on basis triples,
+    one row per coordinate m.  The triples come in ``_triple_order``, so the
+    modular rank certificate reaches full rank after a few hundred rows on
+    any basis of the sedenions.  Each returned basis map is re-checked by the
     direct triple scan (independent oracle)."""
     n = a.dim
     f = a.field
     solver = NullspaceSolver(f, n * n)
-    right_of_product = {}
-    for i in range(n):
+    left = _sparse_product_ops(a, "left")
+    right = _sparse_product_ops(a, "right")
+    for i, j, k in _triple_order(n):
         if solver.full_rank:
             break
-        for j in range(n):
-            if solver.full_rank:
-                break
-            lu = a.left_op(a.products[i][j])
-            for k in range(n):
-                rv = right_of_product.get((j, k))
-                if rv is None:
-                    rv = a.right_op(a.products[j][k])
-                    right_of_product[(j, k)] = rv
-                for m in range(n):
-                    lrow = lu.rows[m]
-                    rrow = rv.rows[m]
-                    pairs = []
-                    for q in range(n):
-                        v = lrow[q]
-                        if v:
-                            pairs.append((q * n + k, v))
-                        w = rrow[q]
-                        if w:
-                            pairs.append((q * n + i, f.neg(w)))
-                    if pairs:
-                        solver.add_sparse(pairs)
-                if solver.full_rank:
-                    break
+        lu = left(i, j)
+        rv = right(j, k)
+        for m in range(n):
+            pairs = [(q * n + k, v) for q, v in lu[m]]
+            pairs += [(q * n + i, f.neg(w)) for q, w in rv[m]]
+            if pairs:
+                solver.add_sparse(pairs)
     space = solver.solve()
     maps = tuple(unflatten_matrix(f, n, row) for row in space.basis.rows)
     for m in maps:
@@ -120,37 +149,84 @@ def twist_space(a: Algebra) -> TwistSpace:
     return TwistSpace(a, space, maps)
 
 
-# -- operator-product families (assembly helpers) -----------------------------------
-
-
-@lru_cache(maxsize=64)
-def _op_family(a: Algebra):
-    """All products L_{e_s} @ R_{e_k} of basis multiplication operators,
-    indexed [s][k]."""
-    return tuple(tuple(ls.matmul(rk) for rk in a.right_basis_ops) for ls in a.left_basis_ops)
-
-
 @lru_cache(maxsize=32)
 def hu_t(a: Algebra, side: str = "left") -> Subspace:
     """Multipliers whose one-sided multiplication operator is a twist making
     the product hom-associative: the preimage of the twist space under the
-    linear map x -> L_x (or R_x), i.e. the kernel of perp(twist space) @ op_of."""
+    linear map x -> L_x (or R_x).  Solved as the kernel of
+    [op_of | -(twist basis)] on (x, y), i.e. L_x = sum_r y_r T_r, projected
+    onto x; the projection is injective because the T_r are independent."""
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
-    ops = a.left_basis_ops if side == "left" else a.right_basis_ops
-    op_of = Matrix.from_columns(a.field, [m.flatten() for m in ops])
-    return kernel(twist_space(a).space.perp().basis.matmul(op_of))
+    n = a.dim
+    f = a.field
+    twists = twist_space(a).space.basis.rows
+    width = n + len(twists)
+    # row q * n + t of op_of: entry (q, t) of L_{e_s} (or R_{e_s}) in column s
+    rows = [[f.zero] * width for _ in range(n * n)]
+    for s, row in enumerate(a.terms):
+        for t, p in enumerate(row):
+            for q, c in p:
+                if side == "left":
+                    rows[q * n + t][s] = c
+                else:
+                    rows[q * n + s][t] = c
+    for r, tw in enumerate(twists):
+        for idx, v in enumerate(tw):
+            if v:
+                rows[idx][n + r] = f.neg(v)
+    solver = NullspaceSolver(f, width)
+    for row in rows:
+        solver.add_dense(row)
+    return Subspace.from_rows(f, n, [v[:n] for v in solver.solve().basis.rows])
+
+
+# -- operator-product families (assembly helpers) -----------------------------------
+
+
+@lru_cache(maxsize=1)
+def _op_family(a: Algebra):
+    """The products L_{e_i} R_{e_j} of basis multiplication operators in the
+    row form of ``_sparse_product_ops``: [i][j][m] holds the (s, v) with v
+    the e_m coefficient of e_i (e_s e_j).  One entry is kept: its reader
+    ``_commuting_space`` is memoized itself, so a deeper cache would only
+    hold n^3 tuples per algebra that nothing reads again."""
+    n = a.dim
+    f = a.field
+    terms = a.terms
+
+    def op(i, j):
+        rows = [[] for _ in range(n)]
+        for s in range(n):
+            for t, c in terms[s][j]:
+                for m, v in terms[i][t]:
+                    rows[m].append((s, f.mul(c, v)))
+        return tuple(map(tuple, rows))
+
+    return tuple(tuple(op(i, j) for j in range(n)) for i in range(n))
 
 
 @lru_cache(maxsize=32)
 def _commuting_space(b: Algebra) -> Subspace:
-    """Solutions of x(e_i e_j) = e_i(x e_j): one cubic block solve of
-    R_{e_i e_j} - L_{e_i} R_{e_j} on basis pairs, cached per algebra value, so
-    a commutative algebra (equal to its opposite) solves it once for both sides."""
+    """Solutions of x(e_i e_j) = e_i(x e_j): block (i, j) is
+    R_{e_i e_j} - L_{e_i} R_{e_j}, both in sparse row form, fed until full
+    rank; cached per algebra value, so a commutative algebra (equal to its
+    opposite) solves it once for both sides."""
     n = b.dim
-    fam_lr = _op_family(b)
-    blocks = (b.right_op(b.products[i][j]).sub(fam_lr[i][j]) for i in range(n) for j in range(n))
-    return sub._solve_blocks(b, blocks)
+    f = b.field
+    right = _sparse_product_ops(b, "right")
+    fam = _op_family(b)
+
+    def block(i, j):
+        for plus, minus in zip(right(i, j), fam[i][j]):
+            row = [f.zero] * n
+            for s, v in plus:
+                row[s] = f.add(row[s], v)
+            for s, v in minus:
+                row[s] = f.sub(row[s], v)
+            yield row
+
+    return sub._solve_blocks(b, (block(i, j) for i in range(n) for j in range(n)))
 
 
 def _multiplier_space(a: Algebra, side: str) -> Subspace:

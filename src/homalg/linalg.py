@@ -283,11 +283,11 @@ class NullspaceSolver:
         self._pending: list = []
         self._active: list = []
         self._pivots: list = []
-        self._pool: list = []  # Q only: unique integer rows for the exact pass
+        self._pool: list = []  # Q only: unique integer rows (tuples) for the exact pass
         self.full_rank = ncols == 0
 
     def add_dense(self, row):
-        if self.full_rank:
+        if self.full_rank or not any(row):
             return
         if self._rational:
             irow = _q_row_to_int(row)
@@ -318,15 +318,19 @@ class NullspaceSolver:
             return
         self._seen.add(key)
         if self._rational:
-            self._pool.append(row)
+            self._pool.append(key)  # shares the tuple held in _seen
             row = [v % _CERT_PRIME for v in row]
         self._pending.append(row)
         if len(self._pending) >= _CHUNK:
             self._flush()
 
     def _flush(self):
+        """Reduce the queued rows into the active RREF, sparsest first: the
+        kernel pivots on the first row it meets, and sparse pivot rows keep
+        fill-in low whatever order the rows were offered in."""
         if not self._pending:
             return
+        self._pending.sort(key=lambda r: len(r) - r.count(0))
         rows = self._active + self._pending
         self._pending = []
         p = _CERT_PRIME if self._rational else self.field.p
@@ -376,7 +380,7 @@ def kernel(m: Matrix) -> "Subspace":
     """Canonical basis of the right nullspace ``{v : m v = 0}``."""
     solver = NullspaceSolver(m.field, m.ncols)
     for row in m.rows:
-        solver.add_dense(list(row))
+        solver.add_dense(row)
     return solver.solve()
 
 

@@ -39,11 +39,12 @@ from homalg.linalg import (
 
 
 def _solve_blocks(a: Algebra, blocks) -> Subspace:
-    """Nullspace of stacked n x n constraint blocks acting on one element."""
+    """Nullspace of stacked constraint blocks acting on one element; a block
+    is an iterable of rows of length n, fed until full rank."""
     solver = NullspaceSolver(a.field, a.dim)
     for block in blocks:
-        for row in block.rows:
-            solver.add_dense(list(row))
+        for row in block:
+            solver.add_dense(row)
         if solver.full_rank:
             break
     return solver.solve()
@@ -60,7 +61,7 @@ def centralizer(a: Algebra, s: Subspace) -> Subspace:
     _check_subspace(a, s)
     return _solve_blocks(
         a,
-        (a.right_op(b).sub(a.left_op(b)) for b in s.basis.rows),
+        (a.right_op(b).sub(a.left_op(b)).rows for b in s.basis.rows),
     )
 
 
@@ -73,7 +74,7 @@ def nucleus(a: Algebra, slot: str = "full") -> Subspace:
     """Elements associating with all basis pairs in the given slot ("left",
     "middle", "right") or in all three ("full", the meet of the three slot
     nuclei).  Block (s, t) has column c the associator with e_c in the slot
-    and e_s, e_t in the other two, read from ``a.associators``."""
+    and e_s, e_t in the other two; its rows are read from ``a.associators``."""
     if slot not in ("left", "middle", "right", "full"):
         raise ValueError(f"unknown slot {slot!r}")
     if slot == "full":
@@ -81,15 +82,14 @@ def nucleus(a: Algebra, slot: str = "full") -> Subspace:
     assoc = a.associators
     n = a.dim
 
-    def columns(s, t):
+    def rows(s, t):
         if slot == "left":
-            return [assoc[c][s][t] for c in range(n)]
+            return zip(*(assoc[c][s][t] for c in range(n)))
         if slot == "middle":
-            return [assoc[s][c][t] for c in range(n)]
-        return assoc[s][t]
+            return zip(*(assoc[s][c][t] for c in range(n)))
+        return zip(*assoc[s][t])
 
-    blocks = (Matrix.from_columns(a.field, columns(s, t)) for s in range(n) for t in range(n))
-    return _solve_blocks(a, blocks)
+    return _solve_blocks(a, (rows(s, t) for s in range(n) for t in range(n)))
 
 
 def center_and_nucleus(a: Algebra) -> Subspace:
@@ -106,7 +106,7 @@ def annihilator(a: Algebra, s: Subspace, side: str = "left") -> Subspace:
     if side == "both":
         return meet(annihilator(a, s, "left"), annihilator(a, s, "right"))
     op = a.right_op if side == "left" else a.left_op
-    return _solve_blocks(a, (op(b) for b in s.basis.rows))
+    return _solve_blocks(a, (op(b).rows for b in s.basis.rows))
 
 
 @lru_cache(maxsize=64)

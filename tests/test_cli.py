@@ -260,6 +260,30 @@ def test_invalid_dimension_cap_exit_two(tmp_path, monkeypatch, capsys):
     assert "=32" not in err
 
 
+@pytest.mark.parametrize("gamma", ["1,x", "1/0"])
+def test_bad_gamma_literal_exit_two(tmp_path, capsys, gamma):
+    argv = ["cayley-dickson", "--levels", "2", "--gamma", gamma]
+    assert main(argv + ["-o", str(tmp_path / "x.json")]) == 2
+    assert "ParseError: bad gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], ["--gamma", "1"]], ids=["default", "gamma"])
+def test_negative_levels_exit_two(tmp_path, capsys, extra):
+    argv = ["cayley-dickson", "--levels", "-1", *extra]
+    assert main(argv + ["-o", str(tmp_path / "x.json")]) == 2
+    assert "levels must be non-negative, got -1" in capsys.readouterr().err
+
+
+def test_huge_levels_fail_before_allocating(tmp_path, monkeypatch, capsys):
+    # a levels-long gamma list would take about 8 GB
+    monkeypatch.delenv("HOMALG_MAX_DIM", raising=False)
+    start = time.perf_counter()
+    argv = ["cayley-dickson", "--levels", "1000000000", "-o", str(tmp_path / "x.json")]
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "1000000000 levels exceed HOMALG_MAX_DIM=32" in capsys.readouterr().err
+
+
 def test_analyze_at_dimension_cap_skips_unitalization(quat_file, monkeypatch, capsys):
     # the unitalization cross-check needs dimension 5, one above the cap
     monkeypatch.setenv("HOMALG_MAX_DIM", "4")
