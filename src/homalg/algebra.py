@@ -16,6 +16,9 @@ from homalg.linalg import (
     Matrix,
     basis_vector,
     check_same_field,
+    combine,
+    sparse_columns,
+    sparse_entries,
     vec_is_zero,
     vec_sub,
     zero_vector,
@@ -110,8 +113,7 @@ class Algebra:
         Built once per algebra."""
         if self._terms is None:
             self._terms = tuple(
-                tuple(tuple((m, c) for m, c in enumerate(p) if c) for p in row)
-                for row in self.tensor
+                tuple(sparse_entries(p) for p in row) for row in self.tensor
             )
         return self._terms
 
@@ -147,6 +149,11 @@ class Algebra:
     def multiply(self, x, y) -> tuple:
         self._check_elem(x)
         self._check_elem(y)
+        return self.multiply_unchecked(x, y)
+
+    def multiply_unchecked(self, x, y) -> tuple:
+        """``multiply`` without the length checks, for package-internal
+        callers whose operands are known to have length ``dim``."""
         f = self.field
         acc = [f.zero] * self.dim
         terms = self.terms
@@ -299,25 +306,15 @@ class HomAlgebra:
         f = a.field
         n = a.dim
         terms = a.terms
-        twisted = [self.twist.apply(a.basis(i)) for i in range(n)]
-
-        def sparse_columns(m):
-            return [[(q, v) for q, v in enumerate(col) if v] for col in m.transpose().rows]
-
+        twisted = [self.twist.column(i) for i in range(n)]
         right = [sparse_columns(a.right_op(t)) for t in twisted]
         left = [sparse_columns(a.left_op(t)) for t in twisted]
-
-        def combine(cols, pairs):
-            acc = [f.zero] * n
-            for m, c in pairs:
-                for q, v in cols[m]:
-                    acc[q] = f.add(acc[q], f.mul(c, v))
-            return acc
-
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    if combine(right[k], terms[i][j]) != combine(left[i], terms[j][k]):
+                    if combine(f, n, right[k], terms[i][j]) != combine(
+                        f, n, left[i], terms[j][k]
+                    ):
                         return (i, j, k)
         return None
 
@@ -325,13 +322,20 @@ class HomAlgebra:
         return self.hom_associativity_witness() is None
 
     def multiplicativity_witness(self):
-        """First basis pair with twist(x*y) != twist(x)*twist(y)."""
+        """First basis pair with twist(x*y) != twist(x)*twist(y).  The twist
+        is applied to the n^2 basis products through its sparse columns, and
+        the twisted basis images are computed once."""
         a = self.base
-        tw = self.twist
-        twisted = [tw.apply(a.basis(i)) for i in range(a.dim)]
-        for i in range(a.dim):
-            for j in range(a.dim):
-                if tw.apply(a.products[i][j]) != a.multiply(twisted[i], twisted[j]):
+        f = a.field
+        n = a.dim
+        terms = a.terms
+        cols = sparse_columns(self.twist)
+        twisted = [self.twist.column(i) for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if combine(f, n, cols, terms[i][j]) != a.multiply_unchecked(
+                    twisted[i], twisted[j]
+                ):
                     return (i, j)
         return None
 

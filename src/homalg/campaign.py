@@ -17,7 +17,7 @@ from homalg.constructions import (
     truncated_poly,
     yau_criterion,
 )
-from homalg.errors import HomalgError, InternalCheckFailure
+from homalg.errors import HomalgError, InternalCheckFailure, InvariantViolation
 from homalg.fields import GF, QQ
 from homalg.reports import tool_stamp
 
@@ -88,6 +88,8 @@ _FLAG_CYCLE = (
 def generated_algebras(seeds: int, start: int = 0):
     """Deterministic seed schedule: fields alternate Q / F2, dimensions cycle
     2..5, flags cycle with a left-unital majority."""
+    if seeds < 0:
+        raise InvariantViolation(f"seed count must be non-negative, got {seeds}")
     out = []
     for s in range(start, start + seeds):
         field = QQ if s % 2 == 0 else GF(2)

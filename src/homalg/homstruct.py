@@ -30,6 +30,7 @@ import random
 from array import array
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from itertools import product
 
 from homalg.algebra import Algebra, HomAlgebra, max_dim
 from homalg.algebra import is_idempotent_elem, is_idempotent_map
@@ -47,11 +48,14 @@ from homalg.linalg import (
     NullspaceSolver,
     Subspace,
     as_fractions,
+    combine,
     is_direct_sum,
     kernel,
     meet,
     meet_all,
     solve_affine,
+    sparse_columns,
+    sparse_entries,
     unflatten_matrix,
     vec_add,
     vec_is_zero,
@@ -421,39 +425,47 @@ def relation_tables_check(h: HomAlgebra, unity, side: str = "left") -> dict:
     one = tuple(unity)
     al = tw.apply(one)
     basis = a.basis_elements()
-    timg = [tw.apply(x) for x in basis]
+    idx = range(n)
+    pairs = list(product(idx, repeat=2))
+    triples = list(product(idx, repeat=3))
+    mul = a.multiply_unchecked
+    terms = a.terms
+    assoc = a.associators
+    cols = sparse_columns(tw)
 
-    def allpairs(pred):
-        return all(pred(x, y) for x in basis for y in basis)
+    def alpha(v):
+        return combine(f, n, cols, sparse_entries(v))
 
-    def alltriples(pred):
-        return all(pred(x, y, z) for x in basis for y in basis for z in basis)
+    timg = [alpha(x) for x in basis]
+    xone = [mul(x, one) for x in basis]
+    inverse_pairs = [(i, j) for i, j in pairs if mul(basis[i], basis[j]) == one]
 
-    mul = a.multiply
     rows = {}
-    rows["alpha_shift"] = allpairs(
-        lambda x, y: mul(tw.apply(x), y) == mul(mul(x, one), tw.apply(y))
+    rows["alpha_shift"] = all(
+        mul(timg[i], basis[j]) == mul(xone[i], timg[j]) for i, j in pairs
     )
-    rows["alpha_absorb"] = allpairs(
-        lambda x, y: tw.apply(mul(x, y)) == mul(x, tw.apply(y))
+    rows["alpha_absorb"] = all(
+        combine(f, n, cols, terms[i][j]) == mul(basis[i], timg[j]) for i, j in pairs
     )
     rows["alpha_unit_image"] = all(
-        mul(tw.apply(x), one) == mul(mul(x, one), al) for x in basis
+        mul(timg[i], one) == mul(xone[i], al) for i in idx
     )
     rows["alpha_pointwise_left_mult"] = all(
-        tw.apply(x) == mul(al, x) for x in basis
+        timg[i] == mul(al, basis[i]) for i in idx
     )
     rows["alpha_operator_left_mult"] = tw == a.left_op(al)
     rows["alpha_inverse_pairs"] = all(
-        mul(x, tw.apply(y)) == al
-        for x in basis
-        for y in basis
-        if mul(x, y) == one
+        mul(basis[i], timg[j]) == al for i, j in inverse_pairs
     )
     rows["alpha_unit_commutes"] = mul(one, al) == al == mul(al, one)
-    rows["transport"] = alltriples(
-        lambda x, y, z: a.associator(x, y, tw.apply(z))
-        == tw.apply(a.associator(x, y, z))
+    # both sides from the basis associators: (x, y, alpha(z)) is the sum of
+    # alpha_{mk} (x, y, e_m), since the associator is linear in z
+    assoc_cols = [
+        [[sparse_entries(v) for v in line] for line in plane] for plane in assoc
+    ]
+    rows["transport"] = all(
+        combine(f, n, assoc_cols[i][j], cols[k]) == alpha(assoc[i][j][k])
+        for i, j, k in triples
     )
     if kernel(tw).is_zero():
         # injective twists preserve the right nucleus both ways
@@ -461,38 +473,48 @@ def relation_tables_check(h: HomAlgebra, unity, side: str = "left") -> dict:
         rows["transport_nucleus_injective"] = kernel(nr.perp().basis.matmul(tw)) == nr
 
     aa = al
-    rows["m1_left_ops_commute"] = allpairs(
-        lambda x, y: mul(aa, mul(x, y)) == mul(x, mul(aa, y))
+    ax = [mul(aa, x) for x in basis]  # L_aa e_i
+    aprods = [[mul(aa, p) for p in line] for line in a.products]  # aa (e_i e_j)
+    rows["m1_left_ops_commute"] = all(
+        aprods[i][j] == mul(basis[i], ax[j]) for i, j in pairs
     )
-    rows["m2_product_reassociates"] = alltriples(
-        lambda x, y, z: mul(mul(aa, x), mul(y, z)) == mul(aa, mul(mul(x, y), z))
+    # (aa e_i)(e_j e_k) from the columns of L_{aa e_i}; aa((e_i e_j) e_k)
+    # as the sum of aa (e_m e_k) over the terms of e_i e_j
+    ax_cols = [sparse_columns(a.left_op(v)) for v in ax]
+    aprod_cols = [[sparse_entries(aprods[m][k]) for m in idx] for k in idx]
+    rows["m2_product_reassociates"] = all(
+        combine(f, n, ax_cols[i], terms[j][k])
+        == combine(f, n, aprod_cols[k], terms[i][j])
+        for i, j, k in triples
     )
     aa1 = mul(aa, one)
     rows["m3_unit_image_multiplies_alike"] = all(
-        mul(aa1, x) == mul(aa, x) for x in basis
+        mul(aa1, x) == ax[i] for i, x in enumerate(basis)
     )
     rows["m4_unit_image_stable"] = mul(aa1, one) == aa1
     rows["m5_right_unit_swap"] = all(
-        mul(aa, mul(x, one)) == mul(x, aa1) for x in basis
+        mul(aa, xone[i]) == mul(basis[i], aa1) for i in idx
     )
     rows["m6_reassociate_via_right_ops"] = rows["m2_product_reassociates"]
     rows["m7_right_unit_commutes"] = all(
-        mul(mul(aa, x), one) == mul(aa, mul(x, one)) for x in basis
+        mul(ax[i], one) == mul(aa, xone[i]) for i in idx
     )
     rows["m8_right_mult_by_image"] = all(
-        mul(x, aa1) == mul(mul(x, one), aa1) == mul(aa, mul(x, one)) for x in basis
+        mul(basis[i], aa1) == mul(xone[i], aa1) == mul(aa, xone[i]) for i in idx
     )
 
     b = aa1
-    rows["u1_absorbs_right_unit"] = all(mul(b, mul(x, one)) == mul(x, b) for x in basis)
+    rows["u1_absorbs_right_unit"] = all(
+        mul(b, xone[i]) == mul(basis[i], b) for i in idx
+    )
     rows["u2_commutes_with_unit_image"] = all(
-        mul(b, mul(x, one)) == mul(mul(x, one), b) for x in basis
+        mul(b, xone[i]) == mul(xone[i], b) for i in idx
     )
     rows["u3_pseudo_commutation"] = all(
-        mul(mul(b, x), one) == mul(mul(x, one), b) for x in basis
+        mul(mul(b, basis[i]), one) == mul(xone[i], b) for i in idx
     )
     rows["u4_right_mult_ignores_unit"] = all(
-        mul(x, b) == mul(mul(x, one), b) for x in basis
+        mul(basis[i], b) == mul(xone[i], b) for i in idx
     )
     rows["u5_left_associates"] = all(
         vec_is_zero(a.associator(b, b, x)) for x in basis
@@ -506,23 +528,22 @@ def relation_tables_check(h: HomAlgebra, unity, side: str = "left") -> dict:
 
     two_sided = not sub.find_unities(a, "two_sided").is_empty
     if two_sided:
-        rows["ts_swap"] = allpairs(
-            lambda x, y: mul(x, tw.apply(y)) == mul(tw.apply(x), y)
+        rows["ts_swap"] = all(
+            mul(basis[i], timg[j]) == mul(timg[i], basis[j]) for i, j in pairs
         )
-        rows["ts_absorb"] = allpairs(
-            lambda x, y: mul(x, tw.apply(y))
-            == tw.apply(mul(x, y))
-            == mul(tw.apply(x), y)
+        rows["ts_absorb"] = all(
+            mul(basis[i], timg[j])
+            == combine(f, n, cols, terms[i][j])
+            == mul(timg[i], basis[j])
+            for i, j in pairs
         )
         rows["ts_unit"] = all(
-            mul(al, x) == tw.apply(x) == mul(x, al) for x in basis
+            mul(al, basis[i]) == timg[i] == mul(basis[i], al) for i in idx
         )
         rows["ts_operator"] = a.left_op(al) == tw == a.right_op(al)
         rows["ts_inverse_pairs"] = all(
-            mul(x, tw.apply(y)) == al == mul(tw.apply(x), y)
-            for x in basis
-            for y in basis
-            if mul(x, y) == one
+            mul(basis[i], timg[j]) == al == mul(timg[i], basis[j])
+            for i, j in inverse_pairs
         )
         # quadratic identity: basis plus pairwise sums polarize it exactly
         sq_args = list(basis) + [
@@ -531,7 +552,7 @@ def relation_tables_check(h: HomAlgebra, unity, side: str = "left") -> dict:
             for j in range(i + 1, n)
         ]
         rows["ts_square"] = all(
-            mul(x, tw.apply(x)) == tw.apply(mul(x, x)) == mul(tw.apply(x), x)
+            mul(x, alpha(x)) == alpha(mul(x, x)) == mul(alpha(x), x)
             for x in sq_args
         )
     return {

@@ -23,7 +23,9 @@ from homalg.fields import Field, PrimeField, QQ
 
 # modulus for the rank certificate used to short-circuit rational elimination
 _CERT_PRIME = 2147483647
-# rows buffered per modular flush, and per exact pass over the Q row pool
+# most rows buffered per modular flush, and rows per exact pass over the Q row
+# pool; a flush comes sooner, once the queue could complete the rank
+# (ncols - rank + 8 rows, the slack absorbing dependent rows)
 _CHUNK = 384
 _INT_ONLY = {int}
 
@@ -198,6 +200,28 @@ class Matrix:
             )
 
 
+def sparse_entries(v) -> tuple:
+    """The nonzero coordinates of a vector as ``(index, value)`` pairs."""
+    return tuple((m, c) for m, c in enumerate(v) if c)
+
+
+def sparse_columns(m: Matrix) -> list:
+    """Column j of ``m`` as its ``sparse_entries``: the map in the form
+    ``combine`` applies."""
+    return [sparse_entries(col) for col in m.transpose().rows]
+
+
+def combine(field: Field, n: int, cols, pairs) -> tuple:
+    """The sum of c * cols[m] over the ``(m, c)`` pairs, as a length-n vector:
+    the map with sparse columns ``cols`` applied to the vector whose sparse
+    entries are ``pairs``."""
+    acc = [field.zero] * n
+    for m, c in pairs:
+        for q, v in cols[m]:
+            acc[q] = field.add(acc[q], field.mul(c, v))
+    return tuple(acc)
+
+
 def unflatten_matrix(field: Field, n: int, vec) -> Matrix:
     if len(vec) != n * n:
         raise DimensionMismatch(f"expected {n * n} entries, got {len(vec)}")
@@ -273,6 +297,12 @@ class NullspaceSolver:
     certain: rank mod p never exceeds the rational rank, so a full-rank
     reduction mod p proves the rational nullspace is zero.  The exact
     elimination only runs when the certificate leaves room for a kernel.
+
+    Queued rows are reduced mod p in one flush as soon as there are
+    ``min(_CHUNK, ncols - rank + 8)`` of them, so full rank is tested as soon
+    as the queue could reach it, and a zero-kernel solve stops after about
+    ncols rows instead of reading every row.  ``full_rank`` is set only when
+    the pivot count equals ``ncols``.
     """
 
     def __init__(self, field: Field, ncols: int):
@@ -321,7 +351,7 @@ class NullspaceSolver:
             self._pool.append(key)  # shares the tuple held in _seen
             row = [v % _CERT_PRIME for v in row]
         self._pending.append(row)
-        if len(self._pending) >= _CHUNK:
+        if len(self._pending) >= min(_CHUNK, self.ncols - len(self._pivots) + 8):
             self._flush()
 
     def _flush(self):

@@ -7,7 +7,13 @@ import pytest
 
 from homalg.cli import main
 from homalg.fileio import emit, parse
-from homalg.campaign import leib2_algebra, nil2_algebra, projection_algebra
+from homalg.campaign import (
+    generated_algebras,
+    leib2_algebra,
+    nil2_algebra,
+    projection_algebra,
+)
+from homalg.errors import HomalgError
 
 
 @pytest.fixture()
@@ -235,6 +241,15 @@ def test_campaign_with_corpus_and_seeds(tmp_path, capsys):
         ]
     )
     assert report.read_text() == report2.read_text()
+
+
+def test_negative_campaign_count_exit_two(capsys):
+    assert main(["campaign", "--seeds", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "seed count must be non-negative, got -1" in captured.err
+    assert captured.out == ""
+    with pytest.raises(HomalgError):
+        generated_algebras(-1)
 
 
 def test_parse_error_exit_two(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Exact linear algebra: canonical forms, kernels, lattice operations."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +22,7 @@ from homalg.linalg import (
     meet,
     rref,
     solve_affine,
+    vec_is_zero,
 )
 
 F2 = GF(2)
@@ -314,6 +316,41 @@ def test_nullspace_solver_full_rank_short_circuit():
     solver._flush()
     assert solver.full_rank
     assert solver.solve().is_zero()
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=["GF3", "Q"])
+def test_nullspace_solver_certifies_full_rank_before_solve(field):
+    # 81 columns: the 81 unit rows plus 8 more fill the first flush
+    # (ncols - rank + 8 = 89 rows), long before 384 rows are queued
+    n = 81
+    solver = NullspaceSolver(field, n)
+    for i in range(n):
+        solver.add_dense([field.one if c == i else field.zero for c in range(n)])
+    for i in range(1, 9):
+        solver.add_dense([field.one if c in (0, i) else field.zero for c in range(n)])
+    assert solver.full_rank
+    assert solver._pool == []
+    assert solver.solve().is_zero()
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=["GF3", "Q"])
+def test_nullspace_solver_with_kernel_matches_kernel(field):
+    # rank at most 75 of 81, fed in several early flushes
+    n = 81
+    rng = random.Random(3)
+    rows = [
+        [field.from_int(rng.choice([-1, 0, 0, 1, 2])) if c < 75 else field.zero for c in range(n)]
+        for _ in range(100)
+    ]
+    solver = NullspaceSolver(field, n)
+    for row in rows:
+        solver.add_dense(row)
+    assert not solver.full_rank
+    got = solver.solve()
+    m = Matrix(field, rows)
+    assert got == kernel(m)
+    assert got.dim == n - len(rref(m)[1]) >= 6
+    assert all(vec_is_zero(m.apply(v)) for v in got.basis.rows)
 
 
 def test_subspace_contains_checks_dimension():
