@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 
 from homalg.errors import DimensionMismatch, InvariantViolation
-from homalg.fields import Field
+from homalg.fields import Field, PrimeField
 from homalg.linalg import (
     Matrix,
     basis_vector,
@@ -56,6 +56,10 @@ class Algebra:
     )
 
     def __init__(self, field: Field, tensor, labels=None):
+        if isinstance(field, PrimeField):
+            # residues in [0, p), so equal algebras have equal tensors
+            p = field.p
+            tensor = [[[v % p for v in col] for col in row] for row in tensor]
         tensor = tuple(tuple(tuple(col) for col in row) for row in tensor)
         n = len(tensor)
         check_dim(n)
@@ -196,6 +200,28 @@ class Algebra:
                     out[k][i] = f.add(out[k][i], f.mul(xj, c))
         return Matrix(f, out)
 
+    def op_columns(self, x, side: str = "left") -> list:
+        """The sparse columns of L_x (side "left", column j = x e_j) or R_x
+        (side "right", column j = e_j x), read from ``terms``: equal to
+        ``sparse_columns(left_op(x))`` or ``sparse_columns(right_op(x))``
+        without building either matrix."""
+        if side not in ("left", "right"):
+            raise ValueError(f"unknown side {side!r}")
+        self._check_elem(x)
+        f = self.field
+        n = self.dim
+        # table[i][j]: the terms of e_i e_j (left) or of e_j e_i (right)
+        table = self.terms if side == "left" else tuple(zip(*self.terms))
+        xs = [(i, xi) for i, xi in enumerate(x) if xi]
+        cols = []
+        for j in range(n):
+            acc = [f.zero] * n
+            for i, xi in xs:
+                for k, c in table[i][j]:
+                    acc[k] = f.add(acc[k], f.mul(xi, c))
+            cols.append(sparse_entries(acc))
+        return cols
+
     # -- derived operators -------------------------------------------------------
 
     def commutator(self, x, y) -> tuple:
@@ -307,8 +333,8 @@ class HomAlgebra:
         n = a.dim
         terms = a.terms
         twisted = [self.twist.column(i) for i in range(n)]
-        right = [sparse_columns(a.right_op(t)) for t in twisted]
-        left = [sparse_columns(a.left_op(t)) for t in twisted]
+        right = [a.op_columns(t, "right") for t in twisted]
+        left = [a.op_columns(t, "left") for t in twisted]
         for i in range(n):
             for j in range(n):
                 for k in range(n):

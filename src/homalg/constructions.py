@@ -246,8 +246,8 @@ def yau_criterion(a: Algebra, alpha: Matrix):
     terms = a.terms
     cols = sparse_columns(alpha)
     twisted = [alpha.column(i) for i in range(n)]
-    right = [sparse_columns(a.right_op(t)) for t in twisted]
-    left = [sparse_columns(a.left_op(t)) for t in twisted]
+    right = [a.op_columns(t, "right") for t in twisted]
+    left = [a.op_columns(t, "left") for t in twisted]
     image = [
         [sparse_entries(combine(f, n, cols, terms[i][j])) for j in range(n)]
         for i in range(n)

@@ -480,7 +480,7 @@ def relation_tables_check(h: HomAlgebra, unity, side: str = "left") -> dict:
     )
     # (aa e_i)(e_j e_k) from the columns of L_{aa e_i}; aa((e_i e_j) e_k)
     # as the sum of aa (e_m e_k) over the terms of e_i e_j
-    ax_cols = [sparse_columns(a.left_op(v)) for v in ax]
+    ax_cols = [a.op_columns(v) for v in ax]
     aprod_cols = [[sparse_entries(aprods[m][k]) for m in idx] for k in idx]
     rows["m2_product_reassociates"] = all(
         combine(f, n, ax_cols[i], terms[j][k])

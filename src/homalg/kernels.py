@@ -3,11 +3,18 @@
 Contracts
 ---------
 ``rref_fp(rows, p)``
-    In-place Gauss-Jordan elimination over F_p.  ``rows`` is a list of lists of
-    ints already reduced into ``[0, p)``.  Returns ``(nonzero_rows, pivots)``
-    where ``nonzero_rows`` is the compacted list of pivot rows in reduced
-    row-echelon form (pivot entries 1) and ``pivots`` the ascending pivot
-    column indices.
+    Two-phase elimination over F_p.  ``rows`` is a list of lists of ints
+    already reduced into ``[0, p)``; the kernel overwrites it.  Returns
+    ``(nonzero_rows, pivots)`` where ``nonzero_rows`` is the compacted list of
+    pivot rows in reduced row-echelon form (pivot entries 1) and ``pivots`` the
+    ascending pivot column indices.  The returned rows may be new lists, so
+    callers read the return value, not ``rows``.
+
+    The forward phase normalizes each pivot row and clears its column below
+    the pivot only, reading the pivot row's nonzero tail (the ``(i, v)`` pairs
+    right of the pivot).  At full column rank the RREF is the identity, which
+    is returned without a back phase; otherwise the back phase clears above
+    each pivot, last pivot first, from the tail of the finished pivot row.
 
 ``rref_int(rows)``
     In-place fraction-free Gauss-Jordan elimination over the integers.
@@ -49,20 +56,36 @@ def rref_fp(rows, p):
             for i in range(col, ncols):
                 if prow[i]:
                     prow[i] = prow[i] * inv % p
-        for r in range(nrows):
-            if r == rank:
-                continue
+        tail = [(i, prow[i]) for i in range(col + 1, ncols) if prow[i]]
+        for r in range(rank + 1, nrows):
             row = rows[r]
             b = row[col]
             if b:
-                for i in range(col, ncols):
-                    v = prow[i]
-                    if v:
-                        row[i] = (row[i] - b * v) % p
+                row[col] = 0
+                for i, v in tail:
+                    row[i] = (row[i] - b * v) % p
         pivots.append(col)
         rank += 1
         if rank == nrows:
             break
+    if rank == ncols:
+        identity = []
+        for k in range(ncols):
+            row = [0] * ncols
+            row[k] = 1
+            identity.append(row)
+        return identity, pivots
+    for k in range(rank - 1, 0, -1):
+        col = pivots[k]
+        prow = rows[k]
+        tail = [(i, prow[i]) for i in range(col + 1, ncols) if prow[i]]
+        for r in range(k):
+            row = rows[r]
+            b = row[col]
+            if b:
+                row[col] = 0
+                for i, v in tail:
+                    row[i] = (row[i] - b * v) % p
     return rows[:rank], pivots
 
 

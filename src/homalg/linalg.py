@@ -21,8 +21,11 @@ from homalg import kernels
 from homalg.errors import DimensionMismatch, FieldMismatch
 from homalg.fields import Field, PrimeField, QQ
 
-# modulus for the rank certificate used to short-circuit rational elimination
-_CERT_PRIME = 2147483647
+# modulus for the rank certificate used to short-circuit rational elimination:
+# the largest prime below 2**15, so residues fit 15 bits and every product of
+# two fits one 30-bit CPython digit.  Rank mod any prime is at most the rank
+# over Q, so a small prime can only send more solves to the exact pass.
+_CERT_PRIME = 32749
 # most rows buffered per modular flush, and rows per exact pass over the Q row
 # pool; a flush comes sooner, once the queue could complete the rank
 # (ncols - rank + 8 rows, the slack absorbing dependent rows)
@@ -292,7 +295,8 @@ class NullspaceSolver:
     nullspace.
 
     Rows may be fed densely or sparsely and in any order; exact duplicates
-    (after primitive normalization over Q) are dropped.  Over Q a modular
+    are dropped, first as offered and then after normalization (primitive
+    integer rows over Q, residues over F_p).  Over Q a modular
     rank certificate short-circuits everything once full column rank is
     certain: rank mod p never exceeds the rational rank, so a full-rank
     reduction mod p proves the rational nullspace is zero.  The exact
@@ -319,6 +323,9 @@ class NullspaceSolver:
     def add_dense(self, row):
         if self.full_rank or not any(row):
             return
+        raw = tuple(row)
+        if raw in self._seen:
+            return
         if self._rational:
             irow = _q_row_to_int(row)
             kernels.row_primitive_int(irow)
@@ -326,6 +333,9 @@ class NullspaceSolver:
         else:
             p = self.field.p
             self._push([v % p for v in row])
+        # after _push: a row already in normal form would otherwise meet its
+        # own key there and be dropped
+        self._seen.add(raw)
 
     def add_sparse(self, pairs):
         """pairs: iterable of (column, raw value); columns may repeat."""

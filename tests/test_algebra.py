@@ -25,7 +25,7 @@ from homalg.constructions import (
 )
 from homalg.errors import DimensionMismatch, InvariantViolation
 from homalg.fields import GF, QQ
-from homalg.linalg import Matrix, vec_add, vec_is_zero, vec_scale
+from homalg.linalg import Matrix, sparse_columns, vec_add, vec_is_zero, vec_scale
 
 
 def test_zero_algebra_products():
@@ -120,6 +120,29 @@ def test_associator_tensor_matches_elementwise(name, a):
             first = (i, j, k)
     assert a.associativity_witness() == first
     assert a.associators is tensor
+
+
+@pytest.mark.parametrize("name,a", TENSOR_ALGEBRAS, ids=[n for n, _ in TENSOR_ALGEBRAS])
+def test_op_columns_are_the_sparse_operator_columns(name, a):
+    elems = a.basis_elements() + [
+        random_linear_map(a.field, a.dim, seed).column(0) for seed in range(3)
+    ]
+    for x in elems:
+        assert a.op_columns(x, "left") == sparse_columns(a.left_op(x)), name
+        assert a.op_columns(x, "right") == sparse_columns(a.right_op(x)), name
+    with pytest.raises(ValueError):
+        a.op_columns(elems[0], "both")
+
+
+def test_prime_field_entries_are_reduced():
+    f3 = GF(3)
+    # -1 and 2 are one residue: the algebra is commutative
+    a = Algebra(f3, [[[0, 0], [-1, 0]], [[2, 0], [0, 0]]])
+    assert a.commutativity_witness() is None
+    assert a.tensor[0][1] == (2, 0)
+    b, c = Algebra(f3, [[[-1]]]), Algebra(f3, [[[2]]])
+    assert b == c
+    assert hash(b) == hash(c)
 
 
 @pytest.mark.parametrize("name,a", CORPUS, ids=[n for n, _ in CORPUS])

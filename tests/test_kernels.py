@@ -75,6 +75,66 @@ def test_rref_fp_contract():
         _check_fp(rows, p)
 
 
+def _gauss_jordan_fp(rows, p):
+    """Reference: one-phase Gauss-Jordan mod p, clearing each pivot column
+    above and below as soon as the pivot is found."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    if nrows == 0:
+        return [], []
+    ncols = len(rows[0])
+    rank = 0
+    pivots = []
+    for col in range(ncols):
+        piv = next((r for r in range(rank, nrows) if rows[r][col]), -1)
+        if piv < 0:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        inv = pow(prow[col], p - 2, p)
+        prow[:] = [v * inv % p for v in prow]
+        for r in range(nrows):
+            b = rows[r][col]
+            if r != rank and b:
+                rows[r] = [(x - b * y) % p for x, y in zip(rows[r], prow)]
+        pivots.append(col)
+        rank += 1
+    return rows[:rank], pivots
+
+
+def _reference_cases(rng, p):
+    """(label, rows) over F_p: every shape class the two phases distinguish."""
+    def rand(nrows, ncols):
+        return [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+
+    n = rng.randint(1, 7)
+    yield "tall", rand(n + rng.randint(1, 6), n)
+    yield "square", rand(n, n)
+    base = rand(rng.randint(1, n), n + 2)
+    deficient = [list(rng.choice(base)) for _ in range(n + 4)]
+    for row in deficient[: len(deficient) // 2]:  # scalar multiples too
+        lam = rng.randrange(1, p) if p > 2 else 1
+        row[:] = [v * lam % p for v in row]
+    rng.shuffle(deficient)
+    yield "repeated", deficient
+    yield "wide", rand(n, n + rng.randint(1, 6))
+    yield "zero", [[0] * (n + 1) for _ in range(rng.randint(1, 4))]
+
+
+def test_rref_fp_matches_one_phase_reference():
+    rng = random.Random(2024)
+    full_rank = set()
+    for p in (2, 3, 32749, 65521, (1 << 31) + 11):
+        for _ in range(40):
+            for label, rows in _reference_cases(rng, p):
+                got = kernels.rref_fp([list(r) for r in rows], p)
+                assert got == _gauss_jordan_fp(rows, p), (p, label, rows)
+                if len(got[1]) == len(rows[0]):
+                    full_rank.add(label)
+    # the other three classes are rank deficient by construction
+    assert full_rank == {"tall", "square"}
+
+
 def test_rref_int_contract():
     rng = random.Random(99)
     for trial in range(150):

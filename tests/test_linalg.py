@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homalg import kernels
 from homalg.errors import DimensionMismatch, FieldMismatch
 from homalg.fields import GF, QQ
 from homalg.linalg import (
+    _CERT_PRIME,
     AffineSet,
     Matrix,
     NullspaceSolver,
@@ -316,6 +318,42 @@ def test_nullspace_solver_full_rank_short_circuit():
     solver._flush()
     assert solver.full_rank
     assert solver.solve().is_zero()
+
+
+def test_nullspace_solver_falls_back_when_the_certificate_prime_divides():
+    # full rank over Q (determinant _CERT_PRIME), rank 1 modulo _CERT_PRIME
+    rows = [[_CERT_PRIME, 1], [0, 1]]
+    solver = NullspaceSolver(QQ, 2)
+    for row in rows:
+        solver.add_dense(row)
+    solver._flush()
+    assert not solver.full_rank
+    assert solver.solve().is_zero()
+    assert kernel(qmat(rows)).is_zero()
+
+
+def test_nullspace_solver_drops_raw_repeats_before_normalizing(monkeypatch):
+    calls = []
+    primitive = kernels.row_primitive_int
+
+    def counting(row):
+        calls.append(tuple(row))
+        return primitive(row)
+
+    monkeypatch.setattr(kernels, "row_primitive_int", counting)
+    solver = NullspaceSolver(QQ, 3)
+    for _ in range(50):
+        solver.add_dense([F(2), F(-4), 0])
+    assert calls == [(2, -4, 0)]
+    assert solver.solve() == kernel(qmat([[1, -2, 0]]))
+
+
+def test_nullspace_solver_pools_proportional_rows_once():
+    solver = NullspaceSolver(QQ, 2)
+    for row in ([2, 4], [1, 2], [-3, -6]):
+        solver.add_dense(row)
+    assert solver._pool == [(1, 2)]
+    assert solver.solve() == kernel(qmat([[1, 2]]))
 
 
 @pytest.mark.parametrize("field", [GF(3), QQ], ids=["GF3", "Q"])
