@@ -359,6 +359,8 @@ def random_linear_map(field: Field, dim: int, seed: int, pool=None) -> Matrix:
 def random_algebra(cfg: GeneratorConfig) -> Algebra:
     field = cfg.field
     n = cfg.dim
+    if n < 1:
+        raise DimensionMismatch(f"dimension must be at least 1, got {n}")
     check_dim(n)  # before the n^3 tensor is allocated
     rng = random.Random(cfg.seed)
     pool = list(cfg.pool)

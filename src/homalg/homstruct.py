@@ -100,23 +100,36 @@ def _triple_order(n: int):
 
 def _sparse_product_ops(a: Algebra, side: str):
     """``op(i, j)``: L_{e_i e_j} (side "left") or R_{e_i e_j} (side "right")
-    as sparse rows, row m the (q, v) pairs of its nonzero entries.  Each
-    operator is built on first use and kept for the caller's solve."""
+    as sparse rows, row m the (q, v) pairs of its nonzero entries, ascending
+    in q.  The basis operators L_{e_t} (or R_{e_t}) are built once per call
+    in this form, and op(i, j) is the combination sum c L_{e_t} over the
+    terms (t, c) of e_i e_j, with no n x n accumulator.  Each operator is
+    built on first use and kept for the caller's solve, keyed by the terms of
+    the product, so pairs (i, j) with equal products share it."""
     n = a.dim
     f = a.field
     terms = a.terms
+    basis = [[[] for _ in range(n)] for _ in range(n)]
+    for t in range(n):
+        for q in range(n):
+            for m, v in terms[t][q] if side == "left" else terms[q][t]:
+                basis[t][m].append((q, v))
     cache = {}
 
     def op(i, j):
-        rows = cache.get((i, j))
+        prod = terms[i][j]
+        rows = cache.get(prod)
         if rows is None:
-            acc = [[f.zero] * n for _ in range(n)]
-            for t, c in terms[i][j]:
-                for q in range(n):
-                    for m, v in terms[t][q] if side == "left" else terms[q][t]:
-                        acc[m][q] = f.add(acc[m][q], f.mul(c, v))
-            rows = [[(q, v) for q, v in enumerate(row) if v] for row in acc]
-            cache[(i, j)] = rows
+            rows = []
+            for m in range(n):
+                acc = {}
+                for t, c in prod:
+                    for q, v in basis[t][m]:
+                        v = f.mul(c, v)
+                        acc[q] = f.add(acc[q], v) if q in acc else v
+                rows.append(tuple(sorted([e for e in acc.items() if e[1]])))
+            rows = tuple(rows)
+            cache[prod] = rows
         return rows
 
     return op
@@ -220,9 +233,15 @@ def _commuting_space(b: Algebra) -> Subspace:
     f = b.field
     right = _sparse_product_ops(b, "right")
     fam = _op_family(b)
+    seen = set()
 
     def block(i, j):
-        for plus, minus in zip(right(i, j), fam[i][j]):
+        for pair in zip(right(i, j), fam[i][j]):
+            # a repeated pair gives a repeated row, which the solver drops
+            if pair in seen:
+                continue
+            seen.add(pair)
+            plus, minus = pair
             row = [f.zero] * n
             for s, v in plus:
                 row[s] = f.add(row[s], v)

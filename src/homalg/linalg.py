@@ -295,8 +295,10 @@ class NullspaceSolver:
     nullspace.
 
     Rows may be fed densely or sparsely and in any order; exact duplicates
-    are dropped, first as offered and then after normalization (primitive
-    integer rows over Q, residues over F_p).  Over Q a modular
+    are dropped, first as offered (a sparse row on its merged ``(column,
+    value)`` key) and then after normalization (primitive integer rows over
+    Q, residues over F_p).  A sparse row is normalized on its nonzero values
+    and made dense once, after its key is checked.  Over Q a modular
     rank certificate short-circuits everything once full column rank is
     certain: rank mod p never exceeds the rational rank, so a full-rank
     reduction mod p proves the rational nullspace is zero.  The exact
@@ -341,11 +343,28 @@ class NullspaceSolver:
         """pairs: iterable of (column, raw value); columns may repeat."""
         if self.full_rank:
             return
-        row = [0] * self.ncols
-        f = self.field
+        acc: dict = {}
         for c, v in pairs:
-            row[c] = f.add(row[c], v)
-        self.add_dense(row)
+            acc[c] = acc[c] + v if c in acc else v
+        if not self._rational:
+            p = self.field.p
+            acc = {c: v % p for c, v in acc.items()}
+        key = tuple(sorted(acc.items()))
+        if not all(acc.values()):
+            key = tuple([e for e in key if e[1]])
+        # a tuple of pairs never equals the dense key of a normalized row
+        if not key or key in self._seen:
+            return
+        self._seen.add(key)
+        row = [0] * self.ncols
+        if self._rational:
+            cols, vals = zip(*key)
+            for c, v in zip(cols, kernels.row_primitive_int(_q_row_to_int(vals))):
+                row[c] = v
+        else:
+            for c, v in key:
+                row[c] = v
+        self._push(row)
 
     def _push(self, row):
         """Queue one new nonzero row for the modular flush: residues over F_p;
@@ -468,12 +487,14 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, field: Field, ambient_dim: int, rows) -> "Subspace":
-        rows = [list(r) for r in rows]
+        rows = [tuple(r) for r in rows]
         for r in rows:
             if len(r) != ambient_dim:
                 raise DimensionMismatch(
                     f"row length {len(r)} vs ambient {ambient_dim}"
                 )
+        # zero rows and exact repeats add nothing to the span
+        rows = [r for r in dict.fromkeys(rows) if any(r)]
         red, pivots = _reduce(field, rows) if rows else ((), ())
         if not red:
             return cls.zero(field, ambient_dim)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import NIL2, projection_tensor, qalg
+from homalg import homstruct
 from homalg.algebra import (
     Algebra,
     HomAlgebra,
@@ -25,7 +26,14 @@ from homalg.constructions import (
 )
 from homalg.errors import DimensionMismatch, InvariantViolation
 from homalg.fields import GF, QQ
-from homalg.linalg import Matrix, sparse_columns, vec_add, vec_is_zero, vec_scale
+from homalg.linalg import (
+    Matrix,
+    sparse_columns,
+    sparse_entries,
+    vec_add,
+    vec_is_zero,
+    vec_scale,
+)
 
 
 def test_zero_algebra_products():
@@ -132,6 +140,28 @@ def test_op_columns_are_the_sparse_operator_columns(name, a):
         assert a.op_columns(x, "right") == sparse_columns(a.right_op(x)), name
     with pytest.raises(ValueError):
         a.op_columns(elems[0], "both")
+
+
+@pytest.mark.parametrize("name,a", TENSOR_ALGEBRAS, ids=[n for n, _ in TENSOR_ALGEBRAS])
+def test_sparse_product_ops_are_the_product_operators(name, a):
+    basis = a.basis_elements()
+    for side, dense_op in (("left", a.left_op), ("right", a.right_op)):
+        op = homstruct._sparse_product_ops(a, side)
+        for i, j in iter_product(range(a.dim), repeat=2):
+            rows = [tuple(r) for r in op(i, j)]
+            want = [sparse_entries(r) for r in dense_op(a.multiply(basis[i], basis[j])).rows]
+            assert rows == want, (name, side, i, j)
+            for r in rows:
+                assert [q for q, _ in r] == sorted({q for q, _ in r}), (name, side, i, j)
+
+
+def test_tensor_algebras_have_general_products():
+    # the operator oracle above must meet products with several terms and
+    # with a single coefficient other than 1
+    terms = [p for _, a in TENSOR_ALGEBRAS for row in a.terms for p in row]
+    assert any(len(p) > 1 and any(c != 1 for _, c in p) for p in terms)
+    assert any(len(p) == 1 and p[0][1] != 1 for p in terms)
+    assert any(len(p) == 1 and p[0][1] == 1 for p in terms)
 
 
 def test_prime_field_entries_are_reduced():

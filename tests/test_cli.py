@@ -141,6 +141,16 @@ def test_random_roundtrip_and_determinism(tmp_path):
     assert p1.read_text() == p2.read_text()
 
 
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_random_nonpositive_dim_exit_two(tmp_path, capsys, dim):
+    # analyze rejects such a file, so random must not write one
+    out = tmp_path / "r.json"
+    assert main(["random", "--dim", dim, "--seed", "0", "-o", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == f"homalg: DimensionMismatch: dimension must be at least 1, got {dim}\n"
+
+
 def test_leibniz_cli(tmp_path, capsys):
     path = tmp_path / "leib2.json"
     emit(leib2_algebra(), path)

@@ -391,6 +391,105 @@ def test_nullspace_solver_with_kernel_matches_kernel(field):
     assert all(vec_is_zero(m.apply(v)) for v in got.basis.rows)
 
 
+@pytest.mark.parametrize(
+    "field,rows,distinct",
+    [
+        (
+            QQ,
+            [[F(1, 2), 0, F(3)], [0, 0, 0], [F(1, 2), 0, F(3)], [1, 0, 6], [0, F(-2, 3), 1],
+             [F(0), F(0), F(0)], [1, 0, 6], [0, F(-2, 3), 1]],
+            [[F(1, 2), 0, F(3)], [1, 0, 6], [0, F(-2, 3), 1]],
+        ),
+        (
+            F5,
+            [[1, 2, 0], [0, 0, 0], [2, 4, 0], [1, 2, 0], [0, 0, 3], [0, 0, 0], [0, 0, 3]],
+            [[1, 2, 0], [2, 4, 0], [0, 0, 3]],
+        ),
+    ],
+    ids=["Q", "F5"],
+)
+def test_from_rows_drops_zero_and_repeated_rows(monkeypatch, field, rows, distinct):
+    # repeats, zero rows and proportional rows span what the distinct ones do
+    seen = []
+    kernel_name = "rref_int" if field == QQ else "rref_fp"
+    real = getattr(kernels, kernel_name)
+
+    def counting(rows, *args):
+        seen.append(len(rows))
+        return real(rows, *args)
+
+    monkeypatch.setattr(kernels, kernel_name, counting)
+    got = Subspace.from_rows(field, 3, rows)
+    assert seen == [len(distinct)]  # only distinct nonzero rows reach the kernel
+    assert got == Subspace.from_rows(field, 3, distinct)
+    assert got.dim == 2
+    assert Subspace.from_rows(field, 3, [r for r in rows if not any(r)]).is_zero()
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_from_rows_checks_every_row_length(field):
+    wrong = ([[1, 0, 0], [0, 0]], [[0, 0]], [[0, 0, 0], [0, 0, 0, 0]], [[1, 0, 0], [1, 0, 0], [1]])
+    for rows in wrong:  # zero rows included: checked before they are dropped
+        with pytest.raises(DimensionMismatch):
+            Subspace.from_rows(field, 3, rows)
+
+
+def _densify(ncols, pairs):
+    row = [0] * ncols
+    for c, v in pairs:
+        row[c] += v
+    return row
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_add_sparse_matches_add_dense(field):
+    ncols = 5
+    offers = [
+        [(0, 1), (1, 2), (0, -1)],  # column 0 cancels
+        [(3, F(1, 2)), (1, F(-3, 4)), (3, F(1, 2))] if field == QQ else [(3, 9), (1, -3)],
+        [(1, 2)],  # a multiple of the first row
+        [(4, 1), (4, -1)],  # all zero
+        [(2, 14), (0, -7)] if field != QQ else [(2, F(2, 3)), (0, -1)],  # zero mod 7
+        [(0, 3), (1, -5), (2, 7), (4, 10)],
+        [(4, 10), (2, 7), (1, -5), (0, 3)],  # the same row, pairs reordered
+        [(0, -6), (1, 10), (2, -14), (4, -20)],  # -2 times it
+        [(1, 1), (3, 1)],
+    ]
+    values = [-8, -1, 1, 2, 7, F(1, 3) if field == QQ else 13]
+    rng = random.Random(5)
+    for _ in range(40):
+        k = rng.randrange(1, 6)
+        offers.append([(rng.randrange(ncols), rng.choice(values)) for _ in range(k)])
+    sparse, dense = NullspaceSolver(field, ncols), NullspaceSolver(field, ncols)
+    for pairs in offers:
+        sparse.add_sparse(pairs)
+        dense.add_dense(_densify(ncols, pairs))
+        assert sparse._pool == dense._pool
+        assert sparse._pending == dense._pending
+        assert sparse.full_rank == dense.full_rank
+    got = sparse.solve()
+    assert got == dense.solve()
+    assert (sparse._pool, sparse._active) == (dense._pool, dense._active)
+
+
+def test_add_sparse_normalizes_a_repeated_row_once(monkeypatch):
+    calls = []
+    primitive = kernels.row_primitive_int
+
+    def counting(row):
+        calls.append(tuple(row))
+        return primitive(row)
+
+    monkeypatch.setattr(kernels, "row_primitive_int", counting)
+    pairs = [(1, F(-4)), (0, F(2))]
+    offers = [pairs, pairs[::-1], pairs + [(2, F(1, 3)), (2, F(-1, 3))]]  # column 2 cancels
+    solver = NullspaceSolver(QQ, 3)
+    for k in range(51):
+        solver.add_sparse(offers[k % 3])
+    assert calls == [(2, -4)]  # the nonzero values, once
+    assert solver.solve() == kernel(qmat([[1, -2, 0]]))
+
+
 def test_subspace_contains_checks_dimension():
     with pytest.raises(DimensionMismatch):
         ss([[1, 0, 0]]).contains(qvec([1, 0]))
