@@ -24,6 +24,9 @@ from fractions import Fraction
 # exactly for every integer below 2**64 (moduli are capped there).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MAX_MODULUS = 1 << 64
+# Largest decimal exponent a Q literal may carry, CPython's limit on the digits
+# of an integer literal: Fraction("1e10000000") alone takes seconds.
+_MAX_EXPONENT = 4300
 
 
 def _is_prime(p: int) -> bool:
@@ -112,8 +115,12 @@ class RationalField(Field):
     def parse(self, text):
         if isinstance(text, int):
             return int(text)
+        s = str(text).strip()
         try:
-            return _integral(Fraction(str(text).strip()))
+            exp = s.lower().partition("e")[2]
+            if exp and abs(int(exp)) > _MAX_EXPONENT:
+                raise ValueError(f"exponent beyond {_MAX_EXPONENT}")
+            return _integral(Fraction(s))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational literal {text!r}") from exc
 

@@ -138,6 +138,8 @@ def parse_text(text: str):
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer beyond CPython's digit limit
+        raise ParseError(f"invalid JSON: {exc}") from exc
     return doc_to_algebra(doc)
 
 

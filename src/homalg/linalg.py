@@ -9,7 +9,8 @@ Vectors are plain tuples of raw scalars: over Q an ``int`` for an integral
 rational and a ``Fraction`` otherwise, over F_p an ``int`` residue; see
 ``fields`` for the scalar conventions.  Q rows are eliminated as integer rows,
 and the canonical RREF turns back into rationals only where a pivot does not
-divide an entry.
+divide an entry.  ``NullspaceSolver`` is the one elimination driver: every
+RREF, span and nullspace here is read off one, and only it calls ``kernels``.
 """
 
 from __future__ import annotations
@@ -19,16 +20,16 @@ from math import lcm
 
 from homalg import kernels
 from homalg.errors import DimensionMismatch, FieldMismatch
-from homalg.fields import Field, PrimeField, QQ
+from homalg.fields import Field, QQ
 
 # modulus for the rank certificate used to short-circuit rational elimination:
 # the largest prime below 2**15, so residues fit 15 bits and every product of
 # two fits one 30-bit CPython digit.  Rank mod any prime is at most the rank
 # over Q, so a small prime can only send more solves to the exact pass.
 _CERT_PRIME = 32749
-# most rows buffered per modular flush, and rows per exact pass over the Q row
-# pool; a flush comes sooner, once the queue could complete the rank
-# (ncols - rank + 8 rows, the slack absorbing dependent rows)
+# most rows buffered per modular flush; a flush comes sooner, once the queue
+# could complete the rank (ncols - rank + 8 rows, the slack absorbing
+# dependent rows)
 _CHUNK = 384
 _INT_ONLY = {int}
 
@@ -262,17 +263,6 @@ def _int_rref_to_q(rows, pivots):
     return out
 
 
-def _reduce(field: Field, rows):
-    """Canonical RREF of raw-scalar rows: ``(nonzero_rows, pivots)`` with
-    pivot entries 1 in field scalars.  The one place that picks the kernel:
-    ``rref_fp`` modulo p, or ``rref_int`` on denominator-cleared rows over Q."""
-    if isinstance(field, PrimeField):
-        p = field.p
-        return kernels.rref_fp([[v % p for v in r] for r in rows], p)
-    red, pivots = kernels.rref_int([_q_row_to_int(r) for r in rows])
-    return _int_rref_to_q(red, pivots), pivots
-
-
 def _nullspace_from_rref(field: Field, rows, pivots, ncols):
     """One nullspace vector per free column f of RREF rows with pivot
     entries 1: e_f minus row[f] at each pivot column."""
@@ -291,8 +281,8 @@ def _nullspace_from_rref(field: Field, rows, pivots, ncols):
 
 
 class NullspaceSolver:
-    """Accumulates homogeneous constraint rows and solves for the exact right
-    nullspace.
+    """Accumulates constraint rows and reads off their exact canonical RREF
+    (``rref``) or right nullspace (``solve``).
 
     Rows may be fed densely or sparsely and in any order; exact duplicates
     are dropped, first as offered (a sparse row on its merged ``(column,
@@ -302,7 +292,8 @@ class NullspaceSolver:
     rank certificate short-circuits everything once full column rank is
     certain: rank mod p never exceeds the rational rank, so a full-rank
     reduction mod p proves the rational nullspace is zero.  The exact
-    elimination only runs when the certificate leaves room for a kernel.
+    elimination only runs when the certificate leaves room for a kernel: one
+    ``rref_int`` call on the pooled rows.
 
     Queued rows are reduced mod p in one flush as soon as there are
     ``min(_CHUNK, ncols - rank + 8)`` of them, so full rank is tested as soon
@@ -397,25 +388,33 @@ class NullspaceSolver:
         if len(self._pivots) == self.ncols:
             self.full_rank = True
             self._pool = []
-            self._pending = []
+
+    def rref(self):
+        """Canonical RREF of the rows offered: ``(nonzero_rows, pivots)``, pivot
+        entries 1.  The active rows over F_p, or over Q once full rank empties
+        the pool (the identity); else one ``rref_int`` pass over the pool."""
+        self._flush()
+        if not self._pool:
+            return self._active, self._pivots
+        red, pivots = kernels.rref_int([list(r) for r in self._pool])
+        return _int_rref_to_q(red, pivots), pivots
 
     def solve(self) -> "Subspace":
-        self._flush()
+        red, pivots = self.rref()
         if self.full_rank:
             return Subspace.zero(self.field, self.ncols)
-        if self._rational:
-            active: list = []
-            pivots: list = []
-            for start in range(0, len(self._pool), _CHUNK):
-                rows = active + [list(r) for r in self._pool[start : start + _CHUNK]]
-                active, pivots = kernels.rref_int(rows)
-                if len(pivots) == self.ncols:
-                    return Subspace.zero(self.field, self.ncols)
-            red = _int_rref_to_q(active, pivots)
-        else:
-            red, pivots = self._active, self._pivots
         basis = _nullspace_from_rref(self.field, red, pivots, self.ncols)
         return Subspace.from_rows(self.field, self.ncols, basis)
+
+
+def _solver_for(field: Field, ncols: int, rows) -> NullspaceSolver:
+    """A solver fed ``rows``, each checked to have ``ncols`` entries."""
+    solver = NullspaceSolver(field, ncols)
+    for row in rows:
+        if len(row) != ncols:
+            raise DimensionMismatch(f"row length {len(row)} vs ambient {ncols}")
+        solver.add_dense(row)
+    return solver
 
 
 # -- public operations ---------------------------------------------------------
@@ -430,35 +429,35 @@ def rref(m: Matrix):
     field = m.field
     if m.nrows == 0 or m.ncols == 0:
         return m, ()
-    red, pivots = _reduce(field, m.rows)
+    red, pivots = _solver_for(field, m.ncols, m.rows).rref()
     pad = [[field.zero] * m.ncols for _ in range(m.nrows - len(red))]
     return Matrix(field, [list(r) for r in red] + pad), tuple(pivots)
 
 
 def kernel(m: Matrix) -> "Subspace":
     """Canonical basis of the right nullspace ``{v : m v = 0}``."""
-    solver = NullspaceSolver(m.field, m.ncols)
-    for row in m.rows:
-        solver.add_dense(row)
-    return solver.solve()
+    return _solver_for(m.field, m.ncols, m.rows).solve()
 
 
 def solve_affine(m: Matrix, b) -> "AffineSet":
     """All solutions of ``m x = b`` as particular + direction subspace.
 
-    The particular solution is canonical: free coordinates are zero.
+    The particular solution is canonical: free coordinates are zero.  Both
+    parts come from one RREF of ``[m | b]``, whose first n columns are the
+    RREF of m when no pivot lies in the last.
     """
     if len(b) != m.nrows:
         raise DimensionMismatch(f"{m.nrows} rows vs rhs of length {len(b)}")
     field = m.field
     n = m.ncols
-    red, pivots = _reduce(field, [list(r) + [bv] for r, bv in zip(m.rows, b)])
+    red, pivots = _solver_for(field, n + 1, [r + (bv,) for r, bv in zip(m.rows, b)]).rref()
     if n in pivots:
         return AffineSet.empty_set(field, n)
     particular = [field.zero] * n
     for row, c in zip(red, pivots):
         particular[c] = row[n]
-    return AffineSet(field, n, tuple(particular), kernel(m))
+    direction = Subspace.from_rows(field, n, _nullspace_from_rref(field, red, pivots, n))
+    return AffineSet(field, n, tuple(particular), direction)
 
 
 def eigenspace(m: Matrix, lam) -> "Subspace":
@@ -487,16 +486,9 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, field: Field, ambient_dim: int, rows) -> "Subspace":
-        rows = [tuple(r) for r in rows]
-        for r in rows:
-            if len(r) != ambient_dim:
-                raise DimensionMismatch(
-                    f"row length {len(r)} vs ambient {ambient_dim}"
-                )
-        # zero rows and exact repeats add nothing to the span
-        rows = [r for r in dict.fromkeys(rows) if any(r)]
-        red, pivots = _reduce(field, rows) if rows else ((), ())
-        if not red:
+        """The span of ``rows``; the solver drops zero rows and repeats."""
+        red, pivots = _solver_for(field, ambient_dim, rows).rref()
+        if not pivots:
             return cls.zero(field, ambient_dim)
         return cls(field, ambient_dim, Matrix(field, red), pivots)
 
@@ -569,7 +561,9 @@ class Subspace:
         on the full coordinate space over any field)."""
         if self.dim == 0:
             return Subspace.full(self.field, self.ambient_dim)
-        return kernel(self.basis)
+        n = self.ambient_dim
+        basis = _nullspace_from_rref(self.field, self.basis.rows, self.pivots, n)
+        return Subspace.from_rows(self.field, n, basis)
 
     def _check_compatible(self, other: "Subspace"):
         check_same_field(self.field, other.field)
@@ -671,17 +665,9 @@ def intersect_affine(a1: AffineSet, a2: AffineSet) -> AffineSet:
         raise DimensionMismatch("ambient dims differ")
     if a1.is_empty or a2.is_empty:
         return AffineSet.empty_set(a1.field, a1.ambient_dim)
-    rows = []
-    rhs = []
-    for a in (a1, a2):
-        c = a.direction.perp().basis
-        for row in c.rows:
-            rows.append(list(row))
-            s = a.field.zero
-            for x, y in zip(row, a.particular):
-                if x and y:
-                    s = a.field.add(s, a.field.mul(x, y))
-            rhs.append(s)
+    c1, c2 = a1.direction.perp().basis, a2.direction.perp().basis
+    rows = c1.rows + c2.rows
     if not rows:
         return a1  # both full-space
-    return solve_affine(Matrix(a1.field, rows), tuple(rhs))
+    rhs = c1.apply(a1.particular) + c2.apply(a2.particular)
+    return solve_affine(Matrix(a1.field, rows), rhs)

@@ -292,6 +292,29 @@ def test_bad_gamma_literal_exit_two(tmp_path, capsys, gamma):
     assert "ParseError: bad gamma" in capsys.readouterr().err
 
 
+def test_over_long_json_integer_exit_two(tmp_path, capsys):
+    # json.loads raises a plain ValueError past CPython's 4,300-digit limit
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"format_version": 1, "field": "Q", "dim": ' + "1" * 4301 + "}")
+    assert main(["analyze", str(bad)]) == 2
+    assert "ParseError: invalid JSON" in capsys.readouterr().err
+
+
+def test_huge_exponent_literal_exit_two_fast(tmp_path, capsys):
+    # Fraction("1e10000000") alone takes seconds; larger exponents never end
+    bad = tmp_path / "bad.json"
+    doc = {"format_version": 1, "field": "Q", "dim": 1, "structure": [[0, 0, 0, "1e10000000"]]}
+    bad.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["analyze", str(bad)]) == 2
+    argv = ["cayley-dickson", "--levels", "1", "--gamma", "1e999999999"]
+    assert main(argv + ["-o", str(tmp_path / "x.json")]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "bad rational literal '1e10000000'" in err
+    assert "ParseError: bad gamma '1e999999999'" in err
+
+
 @pytest.mark.parametrize("extra", [[], ["--gamma", "1"]], ids=["default", "gamma"])
 def test_negative_levels_exit_two(tmp_path, capsys, extra):
     argv = ["cayley-dickson", "--levels", "-1", *extra]

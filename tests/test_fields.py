@@ -38,6 +38,18 @@ def test_rational_bad_literal():
         QQ.parse("abc")
 
 
+def test_rational_exponent_is_bounded():
+    assert QQ.parse("1e3") == 1000 and type(QQ.parse("1e3")) is int
+    assert QQ.parse("-2.5E-2") == F(-1, 40)
+    assert QQ.parse("1e4300") == 10**4300
+    assert QQ.parse("1e-4300") == F(1, 10**4300)
+    for text in ("1e4301", "1E-4301", "1e+999999999", "1e" + "9" * 5000):
+        start = perf_counter()
+        with pytest.raises(ValueError):
+            QQ.parse(text)
+        assert perf_counter() - start < 1.0
+
+
 def test_prime_field_arithmetic():
     f5 = GF(5)
     assert f5.add(3, 4) == 2

@@ -1,11 +1,14 @@
 """Twist spaces, hom-unity subspaces, structure theorems, reports."""
 
+import importlib
+import pkgutil
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product as iter_product
 
 import pytest
 
+import homalg
 from conftest import MEMOIZED, NIL2, clear_memo, fpalg, projection_tensor, qalg
 from homalg import homstruct, subspaces
 from homalg.algebra import Algebra, HomAlgebra
@@ -510,6 +513,24 @@ def test_audit_computes_each_subspace_once(octonions):
         "twist_space": 1,
     }
     assert all(fn.cache_info().maxsize is not None for fn in MEMOIZED)
+
+
+def test_memo_list_names_every_cache():
+    # clear_memo() must reach every cache, or a "cold" timing runs warm
+    found = {}
+    for info in pkgutil.iter_modules(homalg.__path__):
+        module = importlib.import_module(f"homalg.{info.name}")
+        owners = [module] + [
+            v for v in vars(module).values()
+            if isinstance(v, type) and v.__module__ == module.__name__
+        ]
+        for owner in owners:
+            for name, value in vars(owner).items():
+                if callable(getattr(value, "cache_clear", None)):
+                    found[id(value)] = f"{module.__name__}.{name}"
+    listed = {id(fn) for fn in MEMOIZED}
+    assert sorted(found[k] for k in found.keys() - listed) == []
+    assert listed <= found.keys()
 
 
 def test_zero_commuting_space_skips_the_twist_solve():

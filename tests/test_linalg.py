@@ -330,6 +330,10 @@ def test_nullspace_solver_falls_back_when_the_certificate_prime_divides():
     assert not solver.full_rank
     assert solver.solve().is_zero()
     assert kernel(qmat(rows)).is_zero()
+    # from_rows feeds the same solver, so the exact pass decides it too
+    assert Subspace.from_rows(QQ, 2, rows) == Subspace.full(QQ, 2)
+    # [p, 0] is the primitive row [1, 0] at intake: certified mod p
+    assert Subspace.from_rows(QQ, 2, [[_CERT_PRIME, 0], [0, 1]]).is_full()
 
 
 def test_nullspace_solver_drops_raw_repeats_before_normalizing(monkeypatch):
@@ -392,23 +396,25 @@ def test_nullspace_solver_with_kernel_matches_kernel(field):
 
 
 @pytest.mark.parametrize(
-    "field,rows,distinct",
+    "field,rows,distinct,kernel_rows",
     [
         (
             QQ,
             [[F(1, 2), 0, F(3)], [0, 0, 0], [F(1, 2), 0, F(3)], [1, 0, 6], [0, F(-2, 3), 1],
              [F(0), F(0), F(0)], [1, 0, 6], [0, F(-2, 3), 1]],
             [[F(1, 2), 0, F(3)], [1, 0, 6], [0, F(-2, 3), 1]],
+            2,  # [1/2, 0, 3] and [1, 0, 6] share one primitive integer row
         ),
         (
             F5,
             [[1, 2, 0], [0, 0, 0], [2, 4, 0], [1, 2, 0], [0, 0, 3], [0, 0, 0], [0, 0, 3]],
             [[1, 2, 0], [2, 4, 0], [0, 0, 3]],
+            3,
         ),
     ],
     ids=["Q", "F5"],
 )
-def test_from_rows_drops_zero_and_repeated_rows(monkeypatch, field, rows, distinct):
+def test_from_rows_drops_zero_and_repeated_rows(monkeypatch, field, rows, distinct, kernel_rows):
     # repeats, zero rows and proportional rows span what the distinct ones do
     seen = []
     kernel_name = "rref_int" if field == QQ else "rref_fp"
@@ -420,7 +426,7 @@ def test_from_rows_drops_zero_and_repeated_rows(monkeypatch, field, rows, distin
 
     monkeypatch.setattr(kernels, kernel_name, counting)
     got = Subspace.from_rows(field, 3, rows)
-    assert seen == [len(distinct)]  # only distinct nonzero rows reach the kernel
+    assert seen == [kernel_rows]  # only distinct nonzero rows reach the kernel
     assert got == Subspace.from_rows(field, 3, distinct)
     assert got.dim == 2
     assert Subspace.from_rows(field, 3, [r for r in rows if not any(r)]).is_zero()
@@ -488,6 +494,125 @@ def test_add_sparse_normalizes_a_repeated_row_once(monkeypatch):
         solver.add_sparse(offers[k % 3])
     assert calls == [(2, -4)]  # the nonzero values, once
     assert solver.solve() == kernel(qmat([[1, -2, 0]]))
+
+
+# -- one elimination driver: rref, solve_affine and perp through the solver -----
+
+
+def _gauss_jordan(field, rows):
+    """Reference: one-phase Gauss-Jordan in field arithmetic, clearing each
+    pivot column above and below as soon as the pivot is found."""
+    rows = [[field.from_int(v) for v in r] for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    rank, pivots = 0, []
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = field.div(field.one, rows[rank][col])
+        prow = rows[rank] = [field.mul(inv, v) for v in rows[rank]]
+        for r in range(len(rows)):
+            b = rows[r][col]
+            if r != rank and b:
+                rows[r] = [field.sub(x, field.mul(b, y)) for x, y in zip(rows[r], prow)]
+        pivots.append(col)
+        rank += 1
+    return [tuple(r) for r in rows[:rank]], pivots
+
+
+# raw entries: ints and Fractions over Q, non-residues over F_p (7 and -3 are
+# 2 mod 5; 10 and -4 are 0 mod 2)
+_RAW = {
+    "Q-int": (QQ, [-3, -1, 0, 0, 1, 2, 5]),
+    "Q-frac": (QQ, [F(-2, 3), F(-1), 0, 0, F(1, 2), F(5, 4), 3]),
+    "GF2": (F2, [-4, -1, 0, 1, 3, 10]),
+    "GF5": (F5, [-3, -1, 0, 1, 4, 7, 10, 12]),
+}
+
+
+def _driver_cases(rng, field, entries):
+    """(label, ncols, rows) in every shape class the solver distinguishes."""
+    n = rng.randint(1, 6)
+    zeros = [x for x in entries if not field.from_int(x)]
+
+    def rand(nrows, ncols):
+        return [[rng.choice(entries) for _ in range(ncols)] for _ in range(nrows)]
+
+    units = [[rng.choice([1, -1, 3]) if c == i else 0 for c in range(n)] for i in range(n)]
+    full = rand(rng.randint(0, 3), n) + units
+    rng.shuffle(full)
+    yield "full_rank", n, full
+    base = rand(rng.randint(1, n), n + 2)
+    combos = []
+    for _ in range(n + 3):
+        a, b = rng.choice(base), rng.choice(base)
+        ca, cb = rng.choice(entries), rng.choice(entries)
+        combos.append([ca * x + cb * y for x, y in zip(a, b)])
+    yield "deficient", n + 2, combos
+    yield "zero", n, [[rng.choice(zeros) for _ in range(n)] for _ in range(3)]
+    repeated = [list(rng.choice(base)) for _ in range(2 * n + 2)]
+    for row in repeated[: n + 1]:
+        lam = rng.choice([x for x in entries if x])
+        row[:] = [lam * v for v in row]
+    yield "repeated", n + 2, repeated
+
+
+@pytest.mark.parametrize("raw", sorted(_RAW))
+def test_solver_rref_matches_gauss_jordan(raw):
+    field, entries = _RAW[raw]
+    rng = random.Random(raw)
+    certified = set()
+    for _ in range(25):
+        for label, ncols, rows in _driver_cases(rng, field, entries):
+            want = _gauss_jordan(field, rows)
+            solver = NullspaceSolver(field, ncols)
+            for row in rows:
+                solver.add_dense(row)
+            red, pivots = solver.rref()
+            assert ([tuple(r) for r in red], list(pivots)) == want, (label, rows)
+            if solver.full_rank:
+                certified.add(label)
+            m = Matrix(field, rows)
+            r, p = rref(m)
+            assert r.rows[: len(want[0])] == tuple(want[0]) and list(p) == want[1]
+            assert Subspace.from_rows(field, ncols, rows).basis.rows == tuple(want[0])
+    # the rank certificate answers the full-rank case without the exact pass
+    assert certified == {"full_rank"}
+
+
+@pytest.mark.parametrize("raw", sorted(_RAW))
+def test_solve_affine_direction_is_the_kernel(raw):
+    field, entries = _RAW[raw]
+    rng = random.Random(f"affine-{raw}")
+    for _ in range(30):
+        nrows, n = rng.randint(1, 5), rng.randint(1, 5)
+        m = Matrix(field, [[rng.choice(entries) for _ in range(n)] for _ in range(nrows)])
+        x0 = tuple(field.from_int(rng.choice(entries)) for _ in range(n))
+        b = m.apply(x0)
+        sol = solve_affine(m, b)
+        assert not sol.is_empty
+        assert sol.direction == kernel(m)
+        assert m.apply(sol.particular) == b
+        assert sol.contains(x0)
+        # the sum of the first and last rows, with a right side off by one
+        r0, r1 = m.rows[0], m.rows[-1]
+        bad = Matrix(field, list(m.rows) + [[field.add(x, y) for x, y in zip(r0, r1)]])
+        off = field.add(field.add(b[0], b[-1]), field.one)
+        assert solve_affine(bad, b + (off,)).is_empty
+
+
+@pytest.mark.parametrize("raw", sorted(_RAW))
+def test_perp_reads_the_canonical_basis(raw):
+    field, entries = _RAW[raw]
+    rng = random.Random(f"perp-{raw}")
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        rows = [[rng.choice(entries) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
+        s = Subspace.from_rows(field, n, rows)
+        assert s.perp() == kernel(s.basis)
+        assert s.perp().perp() == s
+        assert s.perp().dim + s.dim == n
 
 
 def test_subspace_contains_checks_dimension():
