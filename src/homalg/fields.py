@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from homalg.errors import InvariantViolation
+
 
 # Deterministic Miller-Rabin bases: these twelve primes decide primality
 # exactly for every integer below 2**64 (moduli are capped there).
@@ -125,10 +127,10 @@ class RationalField(Field):
             raise ValueError(f"bad rational literal {text!r}") from exc
 
     def format(self, value) -> str:
-        f = Fraction(value)
-        if f.denominator == 1:
-            return str(f.numerator)
-        return f"{f.numerator}/{f.denominator}"
+        try:
+            return str(Fraction(value))  # "n" or "n/d", sign on the numerator
+        except ValueError as exc:  # past CPython's limit on printed digits
+            raise InvariantViolation("a value has too many digits to print") from exc
 
     def to_json(self):
         return "Q"

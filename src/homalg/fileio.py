@@ -140,6 +140,8 @@ def parse_text(text: str):
         ) from exc
     except ValueError as exc:  # an integer beyond CPython's digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
     return doc_to_algebra(doc)
 
 

@@ -2,19 +2,25 @@
 
 Contracts
 ---------
-``rref_fp(rows, p)``
-    Two-phase elimination over F_p.  ``rows`` is a list of lists of ints
-    already reduced into ``[0, p)``; the kernel overwrites it.  Returns
-    ``(nonzero_rows, pivots)`` where ``nonzero_rows`` is the compacted list of
-    pivot rows in reduced row-echelon form (pivot entries 1) and ``pivots`` the
-    ascending pivot column indices.  The returned rows may be new lists, so
-    callers read the return value, not ``rows``.
+``echelon_add(echelon, row, p)``
+    One step of sparse elimination over F_p.  ``echelon`` maps each pivot
+    column to its pivot row's tail: the ``(column, residue)`` pairs right of
+    the pivot, ascending, pivot entry 1 implied; later pivots do not reduce
+    it.  ``row``, a dict of nonzero residues by column, is consumed: reduced
+    by the pivot rows it hits, lowest first (a heap also takes the pivot
+    columns the reduction fills in), what is left becomes a new pivot row.
+    Returns True iff the rank grew.
 
-    The forward phase normalizes each pivot row and clears its column below
-    the pivot only, reading the pivot row's nonzero tail (the ``(i, v)`` pairs
-    right of the pivot).  At full column rank the RREF is the identity, which
-    is returned without a back phase; otherwise the back phase clears above
-    each pivot, last pivot first, from the tail of the finished pivot row.
+``echelon_rref(echelon, ncols, p)``
+    The back phase: ``(rows, pivots)``, the RREF as dense lists of residues
+    (pivot entries 1) and the ascending pivot columns.  Each tail is cleared
+    of the later pivot columns, last pivot first; at full column rank the
+    RREF is the identity and no tail is read.
+
+``rref_fp(rows, p)``
+    Batch form of the two above.  ``rows`` is a list of lists of ints already
+    reduced into ``[0, p)``; it is not modified.  Returns ``(nonzero_rows,
+    pivots)`` as ``echelon_rref`` does.
 
 ``rref_int(rows)``
     In-place fraction-free Gauss-Jordan elimination over the integers.
@@ -27,66 +33,77 @@ Contracts
     Divides an integer row by its content in place, leading entry positive.
 """
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 # The kernels are plain Python; recorded with every benchmark run.
 BACKEND = "pure-python"
 
 
+def echelon_add(echelon, row, p):
+    hits = []
+    for c in row:
+        if c in echelon:
+            hits.append(c)
+    if hits:
+        heapify(hits)
+        while hits:
+            col = heappop(hits)
+            b = row.pop(col) % p
+            if not b:
+                continue  # cancelled mod p, or a column pushed twice
+            for i, v in echelon[col]:
+                if i in row:
+                    row[i] -= b * v  # reduced mod p only where it is read
+                else:
+                    row[i] = -b * v
+                    if i in echelon:
+                        heappush(hits, i)
+        tail = []
+        for i in sorted(row):
+            v = row[i] % p
+            if v:
+                tail.append((i, v))
+    else:
+        tail = sorted(row.items())
+    if not tail:
+        return False
+    col, lead = tail[0]
+    if lead == 1:
+        echelon[col] = tuple(tail[1:])
+    else:
+        inv = pow(lead, p - 2, p)
+        echelon[col] = tuple([(i, v * inv % p) for i, v in tail[1:]])
+    return True
+
+
+def echelon_rref(echelon, ncols, p):
+    pivots = sorted(echelon)
+    done = {}
+    if len(pivots) < ncols:  # at full rank every tail clears: the identity
+        for col in reversed(pivots):
+            tail = dict(echelon[col])
+            for c in [c for c in tail if c in done]:
+                b = tail.pop(c)
+                for i, v in done[c]:
+                    tail[i] = (tail.get(i, 0) - b * v) % p
+            done[col] = [(i, v) for i, v in tail.items() if v]
+    rows = []
+    for col in pivots:
+        row = [0] * ncols
+        row[col] = 1
+        for i, v in done.get(col, ()):
+            row[i] = v
+        rows.append(row)
+    return rows, pivots
+
+
 def rref_fp(rows, p):
-    nrows = len(rows)
-    if nrows == 0:
-        return [], []
-    ncols = len(rows[0])
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        piv = -1
-        for r in range(rank, nrows):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = pow(prow[col], p - 2, p)
-        if inv != 1:
-            for i in range(col, ncols):
-                if prow[i]:
-                    prow[i] = prow[i] * inv % p
-        tail = [(i, prow[i]) for i in range(col + 1, ncols) if prow[i]]
-        for r in range(rank + 1, nrows):
-            row = rows[r]
-            b = row[col]
-            if b:
-                row[col] = 0
-                for i, v in tail:
-                    row[i] = (row[i] - b * v) % p
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    if rank == ncols:
-        identity = []
-        for k in range(ncols):
-            row = [0] * ncols
-            row[k] = 1
-            identity.append(row)
-        return identity, pivots
-    for k in range(rank - 1, 0, -1):
-        col = pivots[k]
-        prow = rows[k]
-        tail = [(i, prow[i]) for i in range(col + 1, ncols) if prow[i]]
-        for r in range(k):
-            row = rows[r]
-            b = row[col]
-            if b:
-                row[col] = 0
-                for i, v in tail:
-                    row[i] = (row[i] - b * v) % p
-    return rows[:rank], pivots
+    echelon = {}
+    ncols = len(rows[0]) if rows else 0
+    for row in rows:
+        echelon_add(echelon, {c: v for c, v in enumerate(row) if v}, p)
+    return echelon_rref(echelon, ncols, p)
 
 
 def row_primitive_int(row):

@@ -27,10 +27,6 @@ from homalg.fields import Field, QQ
 # two fits one 30-bit CPython digit.  Rank mod any prime is at most the rank
 # over Q, so a small prime can only send more solves to the exact pass.
 _CERT_PRIME = 32749
-# most rows buffered per modular flush; a flush comes sooner, once the queue
-# could complete the rank (ncols - rank + 8 rows, the slack absorbing
-# dependent rows)
-_CHUNK = 384
 _INT_ONLY = {int}
 
 
@@ -287,29 +283,23 @@ class NullspaceSolver:
     Rows may be fed densely or sparsely and in any order; exact duplicates
     are dropped, first as offered (a sparse row on its merged ``(column,
     value)`` key) and then after normalization (primitive integer rows over
-    Q, residues over F_p).  A sparse row is normalized on its nonzero values
-    and made dense once, after its key is checked.  Over Q a modular
-    rank certificate short-circuits everything once full column rank is
-    certain: rank mod p never exceeds the rational rank, so a full-rank
-    reduction mod p proves the rational nullspace is zero.  The exact
-    elimination only runs when the certificate leaves room for a kernel: one
-    ``rref_int`` call on the pooled rows.
-
-    Queued rows are reduced mod p in one flush as soon as there are
-    ``min(_CHUNK, ncols - rank + 8)`` of them, so full rank is tested as soon
-    as the queue could reach it, and a zero-kernel solve stops after about
-    ncols rows instead of reading every row.  ``full_rank`` is set only when
-    the pivot count equals ``ncols``.
+    Q, nonzero residues over F_p).  Each new row is reduced mod p into a
+    sparse echelon as it arrives (``kernels.echelon_add``), so ``full_rank``
+    is set on the row that completes the rank and a zero-kernel solve reads
+    no row past it.  Over Q the echelon is a rank certificate taken mod
+    ``_CERT_PRIME``: rank mod p never exceeds the rational rank, so full rank
+    mod p proves the rational nullspace is zero.  The exact elimination only
+    runs when the certificate leaves room for a kernel: one ``rref_int`` call
+    on the pooled primitive rows.
     """
 
     def __init__(self, field: Field, ncols: int):
         self.field = field
         self.ncols = ncols
         self._rational = field == QQ
+        self._p = _CERT_PRIME if self._rational else field.p
         self._seen: set = set()
-        self._pending: list = []
-        self._active: list = []
-        self._pivots: list = []
+        self._echelon: dict = {}  # pivot column -> tail pairs, pivot entry 1
         self._pool: list = []  # Q only: unique integer rows (tuples) for the exact pass
         self.full_rank = ncols == 0
 
@@ -320,12 +310,12 @@ class NullspaceSolver:
         if raw in self._seen:
             return
         if self._rational:
-            irow = _q_row_to_int(row)
-            kernels.row_primitive_int(irow)
-            self._push(irow)
+            key = tuple(kernels.row_primitive_int(_q_row_to_int(row)))
+            self._push(key, enumerate(key))
         else:
-            p = self.field.p
-            self._push([v % p for v in row])
+            p = self._p
+            key = tuple([(c, v % p) for c, v in enumerate(row) if v % p])
+            self._push(key, key)
         # after _push: a row already in normal form would otherwise meet its
         # own key there and be dropped
         self._seen.add(raw)
@@ -338,71 +328,55 @@ class NullspaceSolver:
         for c, v in pairs:
             acc[c] = acc[c] + v if c in acc else v
         if not self._rational:
-            p = self.field.p
+            p = self._p
             acc = {c: v % p for c, v in acc.items()}
         key = tuple(sorted(acc.items()))
         if not all(acc.values()):
             key = tuple([e for e in key if e[1]])
-        # a tuple of pairs never equals the dense key of a normalized row
         if not key or key in self._seen:
             return
-        self._seen.add(key)
-        row = [0] * self.ncols
         if self._rational:
             cols, vals = zip(*key)
-            for c, v in zip(cols, kernels.row_primitive_int(_q_row_to_int(vals))):
+            vals = kernels.row_primitive_int(_q_row_to_int(vals))
+            row = [0] * self.ncols
+            for c, v in zip(cols, vals):
                 row[c] = v
+            self._push(tuple(row), zip(cols, vals))
         else:
-            for c, v in key:
-                row[c] = v
-        self._push(row)
+            self._push(key, key)  # residue pairs: already the normal form
+        self._seen.add(key)
 
-    def _push(self, row):
-        """Queue one new nonzero row for the modular flush: residues over F_p;
-        over Q a primitive integer row, pooled for the exact pass and reduced
-        only after the duplicate check, as most rows offered are duplicates."""
-        if not any(row):
-            return
-        key = tuple(row)
-        if key in self._seen:
+    def _push(self, key, entries):
+        """Reduce one row into the echelon unless its normal form ``key``
+        repeats one: its ``(column, residue)`` pairs over F_p, over Q its
+        primitive integer row, pooled for the exact pass.  ``entries``, the
+        row's ``(column, value)`` pairs, are read only for a new key, as most
+        rows offered are duplicates."""
+        if not key or key in self._seen:
             return
         self._seen.add(key)
         if self._rational:
             self._pool.append(key)  # shares the tuple held in _seen
-            row = [v % _CERT_PRIME for v in row]
-        self._pending.append(row)
-        if len(self._pending) >= min(_CHUNK, self.ncols - len(self._pivots) + 8):
-            self._flush()
-
-    def _flush(self):
-        """Reduce the queued rows into the active RREF, sparsest first: the
-        kernel pivots on the first row it meets, and sparse pivot rows keep
-        fill-in low whatever order the rows were offered in."""
-        if not self._pending:
-            return
-        self._pending.sort(key=lambda r: len(r) - r.count(0))
-        rows = self._active + self._pending
-        self._pending = []
-        p = _CERT_PRIME if self._rational else self.field.p
-        self._active, self._pivots = kernels.rref_fp(rows, p)
-        if len(self._pivots) == self.ncols:
+        p = self._p
+        row = {c: v % p for c, v in entries if v % p}
+        if kernels.echelon_add(self._echelon, row, p) and len(self._echelon) == self.ncols:
             self.full_rank = True
             self._pool = []
 
     def rref(self):
         """Canonical RREF of the rows offered: ``(nonzero_rows, pivots)``, pivot
-        entries 1.  The active rows over F_p, or over Q once full rank empties
-        the pool (the identity); else one ``rref_int`` pass over the pool."""
-        self._flush()
-        if not self._pool:
-            return self._active, self._pivots
-        red, pivots = kernels.rref_int([list(r) for r in self._pool])
-        return _int_rref_to_q(red, pivots), pivots
+        entries 1.  One ``rref_int`` pass over the pool over Q, unless full
+        rank emptied it; else the echelon's back phase (the identity at full
+        rank)."""
+        if self._pool:
+            red, pivots = kernels.rref_int([list(r) for r in self._pool])
+            return _int_rref_to_q(red, pivots), pivots
+        return kernels.echelon_rref(self._echelon, self.ncols, self._p)
 
     def solve(self) -> "Subspace":
-        red, pivots = self.rref()
         if self.full_rank:
             return Subspace.zero(self.field, self.ncols)
+        red, pivots = self.rref()
         basis = _nullspace_from_rref(self.field, red, pivots, self.ncols)
         return Subspace.from_rows(self.field, self.ncols, basis)
 

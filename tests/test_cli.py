@@ -315,6 +315,26 @@ def test_huge_exponent_literal_exit_two_fast(tmp_path, capsys):
     assert "ParseError: bad gamma '1e999999999'" in err
 
 
+def test_over_long_printed_value_exit_two(tmp_path, capsys):
+    # 1e4300 parses (exponent bound 4,300), but 10**4300 has 4,301 digits:
+    # printing it, or its inverse the unity, passes CPython's digit limit
+    bad = tmp_path / "bad.json"
+    doc = {"format_version": 1, "field": "Q", "dim": 1, "structure": [[0, 0, 0, "1e4300"]]}
+    bad.write_text(json.dumps(doc))
+    assert main(["analyze", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == "homalg: InvariantViolation: a value has too many digits to print\n"
+
+
+def test_deeply_nested_json_exit_two_fast(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[" * 200_000)
+    start = time.perf_counter()
+    assert main(["analyze", str(bad)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "ParseError: invalid JSON: nested too deeply" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("extra", [[], ["--gamma", "1"]], ids=["default", "gamma"])
 def test_negative_levels_exit_two(tmp_path, capsys, extra):
     argv = ["cayley-dickson", "--levels", "-1", *extra]

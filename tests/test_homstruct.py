@@ -108,6 +108,17 @@ def test_twist_space_two_pass_per_triple_meet():
     assert acc == got
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 16])
+def test_triple_order_visits_every_triple_once(n):
+    # a rank-deficient twist solve reads the whole order, so it must be a
+    # permutation of the n^3 triples, and the same one on every call
+    order = list(homstruct._triple_order(n))
+    assert sorted(order) == list(iter_product(range(n), repeat=3))
+    assert list(homstruct._triple_order(n)) == order
+    if n > 2:
+        assert order != sorted(order)
+
+
 def test_twist_membership_matches_direct_scan():
     a = random_algebra(GeneratorConfig(seed=3, dim=3, field=QQ, flag="left_unital"))
     ts = twist_space(a)

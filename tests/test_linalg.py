@@ -315,7 +315,6 @@ def test_nullspace_solver_full_rank_short_circuit():
     solver = NullspaceSolver(QQ, 2)
     solver.add_dense([F(1), F(0)])
     solver.add_dense([F(0), F(1)])
-    solver._flush()
     assert solver.full_rank
     assert solver.solve().is_zero()
 
@@ -326,7 +325,6 @@ def test_nullspace_solver_falls_back_when_the_certificate_prime_divides():
     solver = NullspaceSolver(QQ, 2)
     for row in rows:
         solver.add_dense(row)
-    solver._flush()
     assert not solver.full_rank
     assert solver.solve().is_zero()
     assert kernel(qmat(rows)).is_zero()
@@ -362,8 +360,8 @@ def test_nullspace_solver_pools_proportional_rows_once():
 
 @pytest.mark.parametrize("field", [GF(3), QQ], ids=["GF3", "Q"])
 def test_nullspace_solver_certifies_full_rank_before_solve(field):
-    # 81 columns: the 81 unit rows plus 8 more fill the first flush
-    # (ncols - rank + 8 = 89 rows), long before 384 rows are queued
+    # 81 columns: the 81 unit rows complete the rank; the 8 rows after them
+    # are dropped at intake
     n = 81
     solver = NullspaceSolver(field, n)
     for i in range(n):
@@ -376,8 +374,19 @@ def test_nullspace_solver_certifies_full_rank_before_solve(field):
 
 
 @pytest.mark.parametrize("field", [GF(3), QQ], ids=["GF3", "Q"])
+def test_nullspace_solver_certifies_on_the_row_completing_the_rank(field):
+    n = 81
+    solver = NullspaceSolver(field, n)
+    for i in range(n):
+        assert not solver.full_rank
+        solver.add_dense([field.one if c == i else field.zero for c in range(n)])
+    assert solver.full_rank
+    assert solver._pool == []
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=["GF3", "Q"])
 def test_nullspace_solver_with_kernel_matches_kernel(field):
-    # rank at most 75 of 81, fed in several early flushes
+    # rank at most 75 of 81
     n = 81
     rng = random.Random(3)
     rows = [
@@ -416,17 +425,19 @@ def test_nullspace_solver_with_kernel_matches_kernel(field):
 )
 def test_from_rows_drops_zero_and_repeated_rows(monkeypatch, field, rows, distinct, kernel_rows):
     # repeats, zero rows and proportional rows span what the distinct ones do
+    # Q: one exact pass over the pooled rows; F_p: one echelon_add per row
     seen = []
-    kernel_name = "rref_int" if field == QQ else "rref_fp"
+    kernel_name = "rref_int" if field == QQ else "echelon_add"
     real = getattr(kernels, kernel_name)
 
     def counting(rows, *args):
-        seen.append(len(rows))
+        seen.append(len(rows) if field == QQ else 1)
         return real(rows, *args)
 
     monkeypatch.setattr(kernels, kernel_name, counting)
     got = Subspace.from_rows(field, 3, rows)
-    assert seen == [kernel_rows]  # only distinct nonzero rows reach the kernel
+    # only distinct nonzero rows reach the kernel
+    assert seen == ([kernel_rows] if field == QQ else [1] * kernel_rows)
     assert got == Subspace.from_rows(field, 3, distinct)
     assert got.dim == 2
     assert Subspace.from_rows(field, 3, [r for r in rows if not any(r)]).is_zero()
@@ -471,11 +482,11 @@ def test_add_sparse_matches_add_dense(field):
         sparse.add_sparse(pairs)
         dense.add_dense(_densify(ncols, pairs))
         assert sparse._pool == dense._pool
-        assert sparse._pending == dense._pending
+        assert sparse._echelon == dense._echelon
         assert sparse.full_rank == dense.full_rank
     got = sparse.solve()
     assert got == dense.solve()
-    assert (sparse._pool, sparse._active) == (dense._pool, dense._active)
+    assert (sparse._pool, sparse._echelon) == (dense._pool, dense._echelon)
 
 
 def test_add_sparse_normalizes_a_repeated_row_once(monkeypatch):
@@ -579,6 +590,32 @@ def test_solver_rref_matches_gauss_jordan(raw):
             assert Subspace.from_rows(field, ncols, rows).basis.rows == tuple(want[0])
     # the rank certificate answers the full-rank case without the exact pass
     assert certified == {"full_rank"}
+
+
+@pytest.mark.parametrize("raw", sorted(_RAW))
+def test_mixed_dense_and_sparse_offers_match_gauss_jordan(raw):
+    # one solver fed every other row densely, the rest as (column, value)
+    # pairs with a repeated column and a cancelling pair
+    field, entries = _RAW[raw]
+    rng = random.Random(f"mixed-{raw}")
+    for _ in range(25):
+        for label, ncols, rows in _driver_cases(rng, field, entries):
+            solver = NullspaceSolver(field, ncols)
+            for k, row in enumerate(rows):
+                if k % 2:
+                    pairs = [(c, v) for c, v in enumerate(row) if v]
+                    if pairs:
+                        c, v = pairs[0]
+                        pairs[0] = (c, v - 1)
+                        pairs.append((c, 1))
+                    solver.add_sparse(pairs + [(ncols - 1, 2), (ncols - 1, -2)])
+                else:
+                    solver.add_dense(row)
+            red, pivots = solver.rref()
+            assert ([tuple(r) for r in red], list(pivots)) == _gauss_jordan(field, rows), (
+                label,
+                rows,
+            )
 
 
 @pytest.mark.parametrize("raw", sorted(_RAW))
