@@ -164,8 +164,8 @@ def ac_unitalized_by_eigenspaces(a: Algebra) -> Subspace:
     zn = subspaces.center_and_nucleus(a)
     assoc = subspaces.span_of(a, "associators")
     solver = NullspaceSolver(field, n + 1)
-    for row in zn.perp().basis.rows:
-        solver.add_dense(list(row) + [field.zero])
+    for row in zn.complement_rows():
+        solver.add_dense(row + [field.zero])
     for x in assoc.basis.rows:
         rx = a.right_op(x)  # b * x as a function of b
         for m in range(n):

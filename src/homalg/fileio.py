@@ -148,7 +148,11 @@ def parse_text(text: str):
 def parse(path):
     """Read an algebra definition file; returns Algebra, HomAlgebra, or
     InvolutiveAlgebra."""
-    return parse_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from exc
+    return parse_text(text)
 
 
 def emit(x, path, meta: dict | None = None):

@@ -5,10 +5,12 @@ verification machinery.
 Everything here reduces to exact kernel computations, one system per
 defining identity; ``hu_t`` and the multiplier spaces are composed from
 solved subspaces instead.  ``hu_t`` is the preimage of the twist space under
-x -> L_x (or R_x).  ``ac_l_subspace`` is defined by a(xy) = x(ay) and
-(ax)(yz) = a((xy)z); the first on the pair (xy, z) gives a((xy)z) = (xy)(az),
-so given the first the second says that L_a is a twist, and the space is
-``hu_t(a, "left")`` met with the solutions of the first alone.  Basis-triple
+x -> L_x (or R_x), solved in n unknowns against the twist space's complement
+rows, and every meet is one stacked solve.  ``ac_l_subspace`` is defined by
+a(xy) = x(ay) and (ax)(yz) = a((xy)z); the first on the pair (xy, z) gives
+a((xy)z) = (xy)(az), so given the first the second says that L_a is a twist,
+and the space is ``hu_t(a, "left")`` met with the solutions of the first
+alone.  Basis-triple
 scans read ``Algebra.associators``.  Right-sided results are solved on the
 algebra itself with ``side="right"``: an algebra and its opposite have the
 same twist space, since (xy)alpha(z) = alpha(x)(yz) on (x, y, z) is the
@@ -52,7 +54,6 @@ from homalg.linalg import (
     is_direct_sum,
     kernel,
     meet,
-    meet_all,
     solve_affine,
     sparse_columns,
     sparse_entries,
@@ -174,32 +175,28 @@ def twist_space(a: Algebra) -> TwistSpace:
 def hu_t(a: Algebra, side: str = "left") -> Subspace:
     """Multipliers whose one-sided multiplication operator is a twist making
     the product hom-associative: the preimage of the twist space under the
-    linear map x -> L_x (or R_x).  Solved as the kernel of
-    [op_of | -(twist basis)] on (x, y), i.e. L_x = sum_r y_r T_r, projected
-    onto x; the projection is injective because the T_r are independent."""
+    linear map x -> L_x (or R_x).  L_x lies in the twist space exactly when
+    it is orthogonal to each of its complement rows w, so this is the kernel
+    in x of the rows sum_s x_s <w, L_{e_s}>, fed until full rank."""
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
     n = a.dim
     f = a.field
-    twists = twist_space(a).space.basis.rows
-    width = n + len(twists)
-    # row q * n + t of op_of: entry (q, t) of L_{e_s} (or R_{e_s}) in column s
-    rows = [[f.zero] * width for _ in range(n * n)]
+    # op_of[q * n + t]: the (s, c) with c entry (q, t) of L_{e_s} (or R_{e_s})
+    op_of = [[] for _ in range(n * n)]
     for s, row in enumerate(a.terms):
         for t, p in enumerate(row):
             for q, c in p:
                 if side == "left":
-                    rows[q * n + t][s] = c
+                    op_of[q * n + t].append((s, c))
                 else:
-                    rows[q * n + s][t] = c
-    for r, tw in enumerate(twists):
-        for idx, v in enumerate(tw):
-            if v:
-                rows[idx][n + r] = f.neg(v)
-    solver = NullspaceSolver(f, width)
-    for row in rows:
-        solver.add_dense(row)
-    return Subspace.from_rows(f, n, [v[:n] for v in solver.solve().basis.rows])
+                    op_of[q * n + s].append((t, c))
+    solver = NullspaceSolver(f, n)
+    for w in twist_space(a).space.complement_rows():
+        if solver.full_rank:
+            break
+        solver.add_dense(combine(f, n, op_of, sparse_entries(w)))
+    return solver.solve()
 
 
 # -- operator-product families (assembly helpers) -----------------------------------
@@ -331,22 +328,18 @@ def hu_n(a: Algebra, variant: str = "two_sided") -> Subspace:
     nuclei, and annihilators of the associator span)."""
     assoc_span = sub.span_of(a, "associators")
     if variant == "two_sided":
-        return meet_all(
-            [
-                sub.center(a),
-                sub.nucleus(a, "full"),
-                sub.annihilator(a, assoc_span, "left"),
-            ]
+        return meet(
+            sub.center(a),
+            sub.nucleus(a, "full"),
+            sub.annihilator(a, assoc_span, "left"),
         )
     if variant not in ("left", "right"):
         raise ValueError(f"unknown variant {variant!r}")
-    return meet_all(
-        [
-            sub.centralizer(a, sub.span_of(a, "products")),
-            sub.nucleus(a, variant),
-            sub.nucleus(a, "middle"),
-            sub.annihilator(a, assoc_span, variant),
-        ]
+    return meet(
+        sub.centralizer(a, sub.span_of(a, "products")),
+        sub.nucleus(a, variant),
+        sub.nucleus(a, "middle"),
+        sub.annihilator(a, assoc_span, variant),
     )
 
 

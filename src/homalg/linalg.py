@@ -16,6 +16,7 @@ RREF, span and nullspace here is read off one, and only it calls ``kernels``.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from homalg import kernels
@@ -261,9 +262,8 @@ def _int_rref_to_q(rows, pivots):
 
 def _nullspace_from_rref(field: Field, rows, pivots, ncols):
     """One nullspace vector per free column f of RREF rows with pivot
-    entries 1: e_f minus row[f] at each pivot column."""
+    entries 1, yielded lazily: e_f minus row[f] at each pivot column."""
     pivset = set(pivots)
-    basis = []
     for f in range(ncols):
         if f in pivset:
             continue
@@ -272,8 +272,7 @@ def _nullspace_from_rref(field: Field, rows, pivots, ncols):
         for row, c in zip(rows, pivots):
             if row[f]:
                 v[c] = field.neg(row[f])
-        basis.append(v)
-    return basis
+        yield v
 
 
 class NullspaceSolver:
@@ -530,14 +529,19 @@ class Subspace:
             self.field, m.nrows, [m.apply(r) for r in self.basis.rows]
         )
 
+    def complement_rows(self):
+        """A basis of ``perp()``, lazy and not canonical: e_f minus row[f] at
+        each pivot column, one per free column f.  A vector lies in the
+        subspace exactly when it is orthogonal to all of them."""
+        n = self.ambient_dim
+        return _nullspace_from_rref(self.field, self.basis.rows, self.pivots, n)
+
     def perp(self) -> "Subspace":
         """Orthogonal complement for the standard dot product (nondegenerate
-        on the full coordinate space over any field)."""
+        over any field): the canonical span of ``complement_rows``."""
         if self.dim == 0:
             return Subspace.full(self.field, self.ambient_dim)
-        n = self.ambient_dim
-        basis = _nullspace_from_rref(self.field, self.basis.rows, self.pivots, n)
-        return Subspace.from_rows(self.field, n, basis)
+        return Subspace.from_rows(self.field, self.ambient_dim, self.complement_rows())
 
     def _check_compatible(self, other: "Subspace"):
         check_same_field(self.field, other.field)
@@ -554,27 +558,26 @@ def join(s1: Subspace, s2: Subspace) -> Subspace:
     )
 
 
-def meet(s1: Subspace, s2: Subspace) -> Subspace:
-    """Intersection, computed as the kernel of the stacked complements:
-    (U meet V) is the perp of (perp U join perp V)."""
-    s1._check_compatible(s2)
-    if s1.is_full():
-        return s2
-    if s2.is_full():
-        return s1
-    return join(s1.perp(), s2.perp()).perp()
-
-
-def meet_all(spaces) -> Subspace:
-    spaces = list(spaces)
-    out = spaces[0]
-    for s in spaces[1:]:
-        out = meet(out, s)
-    return out
+def meet(s1: Subspace, *rest: Subspace) -> Subspace:
+    """Intersection of any number of subspaces as one solve: the nullspace of
+    the ``complement_rows`` of every argument but the full space, drawn until
+    full rank.  With fewer than two such arguments it returns that one, or s1."""
+    for s in rest:
+        s1._check_compatible(s)
+    proper = [s for s in (s1, *rest) if not s.is_full()]
+    if len(proper) < 2:
+        return proper[0] if proper else s1
+    solver = NullspaceSolver(s1.field, s1.ambient_dim)
+    for row in chain.from_iterable(s.complement_rows() for s in proper):
+        if solver.full_rank:
+            break
+        solver.add_dense(row)
+    return solver.solve()
 
 
 def is_direct_sum(s1: Subspace, s2: Subspace, whole: Subspace) -> bool:
-    return meet(s1, s2).is_zero() and join(s1, s2) == whole
+    """Exact, as dim(U + V) = dim U + dim V - dim(U meet V)."""
+    return s1.dim + s2.dim == whole.dim and join(s1, s2) == whole
 
 
 class AffineSet:

@@ -30,7 +30,6 @@ from homalg.linalg import (
     Subspace,
     intersect_affine,
     meet,
-    meet_all,
     solve_affine,
     vec_add,
     vec_scale,
@@ -78,7 +77,7 @@ def nucleus(a: Algebra, slot: str = "full") -> Subspace:
     if slot not in ("left", "middle", "right", "full"):
         raise ValueError(f"unknown slot {slot!r}")
     if slot == "full":
-        return meet_all(nucleus(a, s) for s in ("left", "middle", "right"))
+        return meet(*(nucleus(a, s) for s in ("left", "middle", "right")))
     assoc = a.associators
     n = a.dim
 

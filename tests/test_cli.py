@@ -335,6 +335,14 @@ def test_deeply_nested_json_exit_two_fast(tmp_path, capsys):
     assert "ParseError: invalid JSON: nested too deeply" in capsys.readouterr().err
 
 
+def test_invalid_utf8_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"format_version": 1, "field": "Q\xff", "dim": 1}')
+    assert main(["analyze", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == "homalg: ParseError: invalid UTF-8 at byte 33: invalid start byte\n"
+
+
 @pytest.mark.parametrize("extra", [[], ["--gamma", "1"]], ids=["default", "gamma"])
 def test_negative_levels_exit_two(tmp_path, capsys, extra):
     argv = ["cayley-dickson", "--levels", "-1", *extra]

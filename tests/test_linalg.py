@@ -259,7 +259,11 @@ def test_is_direct_sum():
     sy = ss([[0, 1, 0]])
     sxy = ss([[1, 0, 0], [0, 1, 0]])
     assert is_direct_sum(sx, sy, sxy)
+    # dimensions add up, but the join falls short of the whole
     assert not is_direct_sum(sx, sx, sxy)
+    # the join is the whole space, but the two spaces overlap
+    syz = ss([[0, 1, 0], [0, 0, 1]])
+    assert not is_direct_sum(sxy, syz, Subspace.full(QQ, 3))
 
 
 @st.composite
@@ -650,6 +654,69 @@ def test_perp_reads_the_canonical_basis(raw):
         assert s.perp() == kernel(s.basis)
         assert s.perp().perp() == s
         assert s.perp().dim + s.dim == n
+
+
+def _meet_cases(rng, field, entries):
+    """1-4 subspaces of one field^n: random spans, the zero and full spaces,
+    and repeats of an earlier argument."""
+    n = rng.randint(1, 5)
+    spaces = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(["span", "span", "span", "zero", "full", "repeat"])
+        if kind == "zero":
+            spaces.append(Subspace.zero(field, n))
+        elif kind == "full":
+            spaces.append(Subspace.full(field, n))
+        elif kind == "repeat" and spaces:
+            spaces.append(rng.choice(spaces))
+        else:
+            rows = [[rng.choice(entries) for _ in range(n)] for _ in range(rng.randint(0, n))]
+            spaces.append(Subspace.from_rows(field, n, rows))
+    return spaces
+
+
+@pytest.mark.parametrize("raw", sorted(_RAW))
+def test_meet_matches_the_perp_join_perp_reference(raw):
+    field, entries = _RAW[raw]
+    rng = random.Random(f"meet-{raw}")
+    for _ in range(40):
+        spaces = _meet_cases(rng, field, entries)
+        want = spaces[0]
+        for s in spaces[1:]:
+            want = join(want.perp(), s.perp()).perp()
+        got = meet(*spaces)
+        assert got == want, spaces
+        for v in got.basis.rows:
+            assert all(s.contains(v) for s in spaces)
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_meet_of_proper_spaces_is_one_solve(field, monkeypatch):
+    # the stacked system is one solver; solve() builds one more only to
+    # canonicalize a nonzero kernel, exactly as kernel() of the same rows
+    built = []
+    init = NullspaceSolver.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def span(*rows):
+        return Subspace.from_rows(field, 5, [[field.from_int(x) for x in r] for r in rows])
+
+    e = [[int(i == j) for j in range(5)] for i in range(5)]
+    u = span(e[0], e[1], e[2], e[3])
+    v = span(e[1], e[2], e[3], e[4])
+    w = span(e[0], e[2], [0, 1, 0, 1, 1])
+    x = span(e[0], e[1])
+    for spaces in [(u, v), (u, v, w), (u, v, w, u), (v, x), (u, v, w, x)]:
+        rows = [r for s in spaces for r in s.complement_rows()]
+        built.clear()
+        monkeypatch.setattr(NullspaceSolver, "__init__", counting)
+        got = meet(*spaces)
+        monkeypatch.setattr(NullspaceSolver, "__init__", init)
+        assert len(built) == (1 if got.is_zero() else 2), spaces
+        assert got == kernel(Matrix(field, rows))
 
 
 def test_subspace_contains_checks_dimension():
