@@ -18,11 +18,11 @@ from homalg.errors import (
 from homalg.fields import QQ, Field
 from homalg.linalg import (
     Matrix,
-    NullspaceSolver,
     Subspace,
     check_same_field,
     combine,
     meet,
+    nullspace,
     sparse_columns,
     sparse_entries,
     vec_sub,
@@ -163,14 +163,16 @@ def ac_unitalized_by_eigenspaces(a: Algebra) -> Subspace:
     n = a.dim
     zn = subspaces.center_and_nucleus(a)
     assoc = subspaces.span_of(a, "associators")
-    solver = NullspaceSolver(field, n + 1)
-    for row in zn.complement_rows():
-        solver.add_dense(row + [field.zero])
-    for x in assoc.basis.rows:
-        rx = a.right_op(x)  # b * x as a function of b
-        for m in range(n):
-            solver.add_dense(list(rx.rows[m]) + [x[m]])
-    got = solver.solve()
+
+    def rows():
+        for row in zn.complement_rows():
+            yield row + [field.zero]
+        for x in assoc.basis.rows:
+            rx = a.right_op(x)  # b * x as a function of b
+            for m in range(n):
+                yield rx.rows[m] + (x[m],)
+
+    got = nullspace(field, n + 1, rows())
 
     tilde, embedding, unity = unitalize(a)
     direct = homstruct.ac_two_sided(tilde)

@@ -14,6 +14,7 @@ from pathlib import Path
 from homalg.algebra import Algebra, HomAlgebra, InvolutiveAlgebra, check_dim
 from homalg.errors import InvariantViolation, ParseError
 from homalg.fields import Field, field_from_json
+from homalg.reports import render
 
 FORMAT_VERSION = 1
 
@@ -127,10 +128,6 @@ def algebra_to_doc(x, meta: dict | None = None) -> dict:
     return doc
 
 
-def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 def parse_text(text: str):
     try:
         doc = json.loads(text)
@@ -156,4 +153,4 @@ def parse(path):
 
 
 def emit(x, path, meta: dict | None = None):
-    Path(path).write_text(dumps(algebra_to_doc(x, meta)), encoding="utf-8")
+    Path(path).write_text(render(algebra_to_doc(x, meta)), encoding="utf-8")

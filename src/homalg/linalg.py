@@ -11,6 +11,10 @@ rational and a ``Fraction`` otherwise, over F_p an ``int`` residue; see
 and the canonical RREF turns back into rationals only where a pivot does not
 divide an entry.  ``NullspaceSolver`` is the one elimination driver: every
 RREF, span and nullspace here is read off one, and only it calls ``kernels``.
+``nullspace`` is the one loop that feeds it a constraint family: rows are
+drawn from an iterable until full rank, so a lazy family never builds the
+rows past that point.  Caller input (``rref``, ``solve_affine``,
+``Subspace.from_rows``) is read whole and checked row by row instead.
 """
 
 from __future__ import annotations
@@ -381,13 +385,26 @@ class NullspaceSolver:
 
 
 def _solver_for(field: Field, ncols: int, rows) -> NullspaceSolver:
-    """A solver fed ``rows``, each checked to have ``ncols`` entries."""
+    """A solver fed every one of ``rows``, each checked to have ``ncols``
+    entries: for caller input, whose RREF needs all of it."""
     solver = NullspaceSolver(field, ncols)
     for row in rows:
         if len(row) != ncols:
             raise DimensionMismatch(f"row length {len(row)} vs ambient {ncols}")
         solver.add_dense(row)
     return solver
+
+
+def nullspace(field: Field, ncols: int, rows) -> "Subspace":
+    """The right nullspace of ``rows``, dense rows of length ``ncols`` drawn
+    from an iterable into one solver until it reaches full rank: a lazy
+    iterable never builds the rows past that point."""
+    solver = NullspaceSolver(field, ncols)
+    for row in rows:
+        solver.add_dense(row)
+        if solver.full_rank:
+            break
+    return solver.solve()
 
 
 # -- public operations ---------------------------------------------------------
@@ -409,7 +426,7 @@ def rref(m: Matrix):
 
 def kernel(m: Matrix) -> "Subspace":
     """Canonical basis of the right nullspace ``{v : m v = 0}``."""
-    return _solver_for(m.field, m.ncols, m.rows).solve()
+    return nullspace(m.field, m.ncols, m.rows)
 
 
 def solve_affine(m: Matrix, b) -> "AffineSet":
@@ -567,12 +584,8 @@ def meet(s1: Subspace, *rest: Subspace) -> Subspace:
     proper = [s for s in (s1, *rest) if not s.is_full()]
     if len(proper) < 2:
         return proper[0] if proper else s1
-    solver = NullspaceSolver(s1.field, s1.ambient_dim)
-    for row in chain.from_iterable(s.complement_rows() for s in proper):
-        if solver.full_rank:
-            break
-        solver.add_dense(row)
-    return solver.solve()
+    rows = chain.from_iterable(s.complement_rows() for s in proper)
+    return nullspace(s1.field, s1.ambient_dim, rows)
 
 
 def is_direct_sum(s1: Subspace, s2: Subspace, whole: Subspace) -> bool:
@@ -636,15 +649,20 @@ class AffineSet:
 
 def intersect_affine(a1: AffineSet, a2: AffineSet) -> AffineSet:
     """Intersection of two affine sets, by re-solving the stacked constraint
-    systems x = p_i + dir_i expressed as perp(dir_i) x = perp(dir_i) p_i."""
+    systems x = p_i + dir_i expressed as w x = w p_i for each of the
+    ``complement_rows`` w of dir_i."""
     check_same_field(a1.field, a2.field)
     if a1.ambient_dim != a2.ambient_dim:
         raise DimensionMismatch("ambient dims differ")
     if a1.is_empty or a2.is_empty:
         return AffineSet.empty_set(a1.field, a1.ambient_dim)
-    c1, c2 = a1.direction.perp().basis, a2.direction.perp().basis
-    rows = c1.rows + c2.rows
+    f = a1.field
+    rows, rhs = [], []
+    for s in (a1, a2):
+        if not s.direction.is_full():  # no rows, so no width to apply
+            c = Matrix(f, s.direction.complement_rows())
+            rows += c.rows
+            rhs += c.apply(s.particular)
     if not rows:
         return a1  # both full-space
-    rhs = c1.apply(a1.particular) + c2.apply(a2.particular)
-    return solve_affine(Matrix(a1.field, rows), rhs)
+    return solve_affine(Matrix(f, rows), rhs)

@@ -83,4 +83,6 @@ def audit_json(report) -> dict:
 
 
 def render(doc: dict) -> str:
+    """The one JSON text form, for reports and emitted algebra files alike:
+    sorted keys, two-space indent, a final newline."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

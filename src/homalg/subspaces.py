@@ -3,17 +3,18 @@ spans of products/commutators/associators, unity sets, idempotent search.
 
 Every "for all x in S" condition is imposed on a basis of S only; bilinearity
 or trilinearity of the defining operator makes this exact.  Nuclei and the
-associator span read ``a.associators``.  The full nucleus and the two-sided
-annihilator are meets of one-identity solves.  The subspace and unity solvers
-are memoized per argument value in bounded lru caches, so their results must
-stay immutable.
+associator span read ``a.associators``.  A one-identity solve is one
+``linalg.nullspace`` over its constraint blocks, each block built only when
+the solve reaches it; the full nucleus and the two-sided annihilator are
+meets of such solves.  The subspace and unity solvers are memoized per
+argument value in bounded lru caches, so their results must stay immutable.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from fractions import Fraction
-from itertools import combinations, product as iter_product
+from itertools import chain, combinations, product as iter_product
 from math import isqrt, lcm
 
 from homalg.algebra import Algebra
@@ -26,27 +27,15 @@ from homalg.fields import PrimeField
 from homalg.linalg import (
     AffineSet,
     Matrix,
-    NullspaceSolver,
     Subspace,
     intersect_affine,
     meet,
+    nullspace,
     solve_affine,
     vec_add,
     vec_scale,
     vec_sub,
 )
-
-
-def _solve_blocks(a: Algebra, blocks) -> Subspace:
-    """Nullspace of stacked constraint blocks acting on one element; a block
-    is an iterable of rows of length n, fed until full rank."""
-    solver = NullspaceSolver(a.field, a.dim)
-    for block in blocks:
-        for row in block:
-            solver.add_dense(row)
-        if solver.full_rank:
-            break
-    return solver.solve()
 
 
 def _check_subspace(a: Algebra, s: Subspace):
@@ -58,10 +47,8 @@ def _check_subspace(a: Algebra, s: Subspace):
 def centralizer(a: Algebra, s: Subspace) -> Subspace:
     """Elements commuting with everything in s."""
     _check_subspace(a, s)
-    return _solve_blocks(
-        a,
-        (a.right_op(b).sub(a.left_op(b)).rows for b in s.basis.rows),
-    )
+    blocks = (a.right_op(b).sub(a.left_op(b)).rows for b in s.basis.rows)
+    return nullspace(a.field, a.dim, chain.from_iterable(blocks))
 
 
 def center(a: Algebra) -> Subspace:
@@ -88,7 +75,8 @@ def nucleus(a: Algebra, slot: str = "full") -> Subspace:
             return zip(*(assoc[s][c][t] for c in range(n)))
         return zip(*assoc[s][t])
 
-    return _solve_blocks(a, (rows(s, t) for s in range(n) for t in range(n)))
+    blocks = (rows(s, t) for s in range(n) for t in range(n))
+    return nullspace(a.field, n, chain.from_iterable(blocks))
 
 
 def center_and_nucleus(a: Algebra) -> Subspace:
@@ -105,7 +93,8 @@ def annihilator(a: Algebra, s: Subspace, side: str = "left") -> Subspace:
     if side == "both":
         return meet(annihilator(a, s, "left"), annihilator(a, s, "right"))
     op = a.right_op if side == "left" else a.left_op
-    return _solve_blocks(a, (op(b).rows for b in s.basis.rows))
+    blocks = (op(b).rows for b in s.basis.rows)
+    return nullspace(a.field, a.dim, chain.from_iterable(blocks))
 
 
 @lru_cache(maxsize=64)

@@ -20,12 +20,13 @@ from homalg.constructions import (
 )
 from homalg.errors import DimensionMismatch, HomalgError, InvariantViolation, ParseError
 from homalg.fields import GF, QQ
-from homalg.fileio import algebra_to_doc, doc_to_algebra, dumps, emit, parse, parse_text
+from homalg.fileio import algebra_to_doc, doc_to_algebra, emit, parse, parse_text
 from homalg.linalg import Matrix
+from homalg.reports import render
 
 
 def roundtrip(x):
-    return doc_to_algebra(json.loads(dumps(algebra_to_doc(x))))
+    return doc_to_algebra(json.loads(render(algebra_to_doc(x))))
 
 
 def test_minimal_field_as_algebra():

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import clear_memo
 from homalg import kernels
+from homalg.campaign import builtin_corpus, run_campaign
 from homalg.errors import DimensionMismatch, FieldMismatch
 from homalg.fields import GF, QQ
 from homalg.linalg import (
@@ -722,3 +724,85 @@ def test_meet_of_proper_spaces_is_one_solve(field, monkeypatch):
 def test_subspace_contains_checks_dimension():
     with pytest.raises(DimensionMismatch):
         ss([[1, 0, 0]]).contains(qvec([1, 0]))
+
+
+# -- intersect_affine reads complement rows ---------------------------------------
+
+
+def _perp_intersection(a1, a2):
+    """Reference: the stacked systems perp(dir_i) x = perp(dir_i) p_i, with
+    perp() an elimination of its own."""
+    if a1.is_empty or a2.is_empty:
+        return AffineSet.empty_set(a1.field, a1.ambient_dim)
+    c1, c2 = a1.direction.perp().basis, a2.direction.perp().basis
+    rows = c1.rows + c2.rows
+    if not rows:
+        return a1
+    rhs = c1.apply(a1.particular) + c2.apply(a2.particular)
+    return solve_affine(Matrix(a1.field, rows), rhs)
+
+
+def _affine_cases(rng, field, entries):
+    """Pairs of affine sets in one field^n: random consistent systems, the
+    full space, singletons, the empty set, and parallel disjoint pairs."""
+    n = rng.randint(1, 5)
+
+    def vec():
+        return tuple(field.from_int(rng.choice(entries)) for _ in range(n))
+
+    def system():
+        return Matrix(field, [vec() for _ in range(rng.randint(1, n))])
+
+    def one():
+        kind = rng.choice(["system", "system", "full", "point", "empty"])
+        if kind == "full":
+            return solve_affine(Matrix.zero(field, 1, n), (field.zero,))
+        if kind == "point":
+            return solve_affine(Matrix.identity(field, n), vec())
+        if kind == "empty":
+            return AffineSet.empty_set(field, n)
+        m = system()
+        return solve_affine(m, m.apply(vec()))
+
+    for _ in range(6):
+        yield one(), one()
+    m = system()
+    b = m.apply(vec())
+    shifted = (field.add(b[0], field.one),) + b[1:]
+    yield solve_affine(m, b), solve_affine(m, shifted)  # parallel: disjoint
+
+
+@pytest.mark.parametrize("raw", sorted(_RAW))
+def test_intersect_affine_matches_the_perp_reference(raw):
+    field, entries = _RAW[raw]
+    rng = random.Random(f"intersect-{raw}")
+    seen = set()
+    for _ in range(20):
+        for a1, a2 in _affine_cases(rng, field, entries):
+            want = _perp_intersection(a1, a2)
+            got = intersect_affine(a1, a2)
+            assert got == want, (a1, a2)
+            assert got.ambient_dim == a1.ambient_dim
+            if got.is_empty:
+                seen.add("empty" if a1.is_empty or a2.is_empty else "inconsistent")
+                continue
+            assert a1.contains(got.particular) and a2.contains(got.particular)
+            if got.direction.is_full():
+                seen.add("full")
+            else:
+                seen.add("point" if got.direction.is_zero() else "proper")
+    assert seen == {"empty", "inconsistent", "full", "point", "proper"}
+
+
+def test_campaign_takes_no_perp(monkeypatch):
+    calls = []
+    perp = Subspace.perp
+
+    def counting(self):
+        calls.append(self)
+        return perp(self)
+
+    clear_memo()
+    monkeypatch.setattr(Subspace, "perp", counting)
+    assert run_campaign(builtin_corpus())["ok"]
+    assert calls == []
