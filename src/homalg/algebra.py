@@ -284,17 +284,39 @@ class Algebra:
         )
 
 
+def check_twist(a: Algebra, twist: Matrix):
+    """Raise FieldMismatch or DimensionMismatch unless ``twist`` is an n x n
+    map over the field of ``a``."""
+    check_same_field(a.field, twist.field)
+    if twist.nrows != a.dim or twist.ncols != a.dim:
+        raise DimensionMismatch(
+            f"twist is {twist.nrows}x{twist.ncols}, algebra dim {a.dim}"
+        )
+
+
+def twisted_ops(a: Algebra, twist: Matrix | None = None):
+    """``(left, right)``: left[i][j] and right[i][j] are the sparse column j
+    of L_{t(e_i)} and R_{t(e_i)}, ``(m, c)`` pairs as in ``terms``, so
+    ``combine(f, n, left[i], terms[j][k])`` is t(e_i)(e_j e_k).  With no
+    twist (t the identity) they are ``terms`` and its transpose; a twist is
+    checked, then its images are read through ``op_columns``."""
+    if twist is None:
+        return a.terms, tuple(zip(*a.terms))
+    check_twist(a, twist)
+    images = [twist.column(i) for i in range(a.dim)]
+    return (
+        [a.op_columns(t, "left") for t in images],
+        [a.op_columns(t, "right") for t in images],
+    )
+
+
 class HomAlgebra:
     """An algebra with a twisting linear map."""
 
     __slots__ = ("base", "twist", "_hash")
 
     def __init__(self, base: Algebra, twist: Matrix):
-        check_same_field(base.field, twist.field)
-        if twist.nrows != base.dim or twist.ncols != base.dim:
-            raise DimensionMismatch(
-                f"twist is {twist.nrows}x{twist.ncols}, algebra dim {base.dim}"
-            )
+        check_twist(base, twist)
         self.base = base
         self.twist = twist
         self._hash = None
@@ -332,9 +354,7 @@ class HomAlgebra:
         f = a.field
         n = a.dim
         terms = a.terms
-        twisted = [self.twist.column(i) for i in range(n)]
-        right = [a.op_columns(t, "right") for t in twisted]
-        left = [a.op_columns(t, "left") for t in twisted]
+        left, right = twisted_ops(a, self.twist)
         for i in range(n):
             for j in range(n):
                 for k in range(n):

@@ -255,6 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
         q.set_defaults(fn=fn)
         return q
 
+    def add_twist_options(q):
+        twist = q.add_mutually_exclusive_group()
+        twist.add_argument("--twist-from-file", action="store_true")
+        for side in ("left", "right"):
+            help_text = f"basis index for a {side} multiplication twist"
+            twist.add_argument(f"--{side}-mult", type=int, help=help_text)
+
     q = add("analyze", cmd_analyze, "full structure report for an algebra file")
     q.add_argument("file")
     q.add_argument("--unitalize-limit", type=int, default=8)
@@ -278,9 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = add("yau", cmd_yau, "twist the product by a linear map")
     q.add_argument("file")
-    q.add_argument("--twist-from-file", action="store_true")
-    q.add_argument("--left-mult", type=int, help="basis index for a left multiplication twist")
-    q.add_argument("--right-mult", type=int, help="basis index for a right multiplication twist")
+    add_twist_options(q)
     q.add_argument("-o", "--output", required=True)
 
     q = add("opposite", cmd_opposite, "reverse the product")
@@ -295,9 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = add("leibniz", cmd_leibniz, "Leibniz/hom-Lie report for a bracket")
     q.add_argument("file")
-    q.add_argument("--twist-from-file", action="store_true")
-    q.add_argument("--left-mult", type=int)
-    q.add_argument("--right-mult", type=int)
+    add_twist_options(q)
 
     q = add("random", cmd_random, "emit a seeded random algebra")
     q.add_argument("--dim", type=int, required=True)

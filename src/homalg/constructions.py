@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from homalg.algebra import Algebra, HomAlgebra, InvolutiveAlgebra, check_dim, max_dim
+from homalg.algebra import check_twist, twisted_ops
 from homalg.errors import (
     DimensionMismatch,
     InternalCheckFailure,
@@ -19,7 +20,6 @@ from homalg.fields import QQ, Field
 from homalg.linalg import (
     Matrix,
     Subspace,
-    check_same_field,
     combine,
     meet,
     nullspace,
@@ -222,9 +222,7 @@ def ac_unitalized_by_eigenspaces(a: Algebra) -> Subspace:
 
 def yau_twist(a: Algebra, alpha: Matrix) -> HomAlgebra:
     """Replace the product by alpha o product, twisted by alpha."""
-    check_same_field(a.field, alpha.field)
-    if alpha.nrows != a.dim or alpha.ncols != a.dim:
-        raise DimensionMismatch("twist shape does not match the algebra")
+    check_twist(a, alpha)
     tensor = [
         [alpha.apply(a.products[i][j]) for j in range(a.dim)] for i in range(a.dim)
     ]
@@ -237,19 +235,14 @@ def yau_criterion(a: Algebra, alpha: Matrix):
     alpha(yz)) = 0 on basis triples, the first failing triple in
     lexicographic order as the witness.  The table alpha(e_i e_j) is built
     once (n^2 applications of alpha, through its sparse columns), and
-    u alpha(e_k) and alpha(e_i) u are read from the sparse columns of
-    R_{alpha(e_k)} and L_{alpha(e_i)}.  Cross-checked against the direct
+    u alpha(e_k) and alpha(e_i) u are read from the ``twisted_ops`` tables
+    of R_{alpha(e_k)} and L_{alpha(e_i)}.  Cross-checked against the direct
     hom-associativity scan of the twisted algebra."""
-    check_same_field(a.field, alpha.field)
-    if alpha.nrows != a.dim or alpha.ncols != a.dim:
-        raise DimensionMismatch("twist shape does not match the algebra")
+    left, right = twisted_ops(a, alpha)
     f = a.field
     n = a.dim
     terms = a.terms
     cols = sparse_columns(alpha)
-    twisted = [alpha.column(i) for i in range(n)]
-    right = [a.op_columns(t, "right") for t in twisted]
-    left = [a.op_columns(t, "left") for t in twisted]
     image = [
         [sparse_entries(combine(f, n, cols, terms[i][j])) for j in range(n)]
         for i in range(n)

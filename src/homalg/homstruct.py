@@ -21,7 +21,11 @@ immutable; nothing returning an Algebra is cached, because Algebra equality
 ignores the basis labels.
 
 Every constraint row is assembled from the sparse product table
-``Algebra.terms``, never from dense operator products.  The twist solve
+``Algebra.terms``, never from dense operator products.  The twist rows and
+the ``hu_t`` rows read the basis operators L_{e_t} and R_{e_t} from the
+tables of ``algebra.twisted_ops`` (``terms`` and its transpose); the
+commuting blocks of ``_op_family`` keep their own sparse accumulator, which
+measured faster than dense ``combine`` plus ``vec_sub``.  The twist solve
 walks its basis triples in one fixed scrambled order, so how many rows it
 needs before the rank certificate stops it does not depend on the basis.
 """
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import chain, product
 
-from homalg.algebra import Algebra, HomAlgebra, max_dim
+from homalg.algebra import Algebra, HomAlgebra, max_dim, twisted_ops
 from homalg.algebra import is_idempotent_elem, is_idempotent_map
 from homalg.constructions import ac_unitalized_by_eigenspaces, opposite, opposite_hom
 from homalg.errors import (
@@ -103,41 +107,22 @@ def _triple_order(n: int):
         yield (i,) + divmod(rest, n)
 
 
-def _sparse_product_ops(a: Algebra, side: str):
-    """``op(i, j)``: L_{e_i e_j} (side "left") or R_{e_i e_j} (side "right")
-    as sparse rows, row m the (q, v) pairs of its nonzero entries, ascending
-    in q.  The basis operators L_{e_t} (or R_{e_t}) are built once per call
-    in this form, and op(i, j) is the combination sum c L_{e_t} over the
-    terms (t, c) of e_i e_j, with no n x n accumulator.  Each operator is
-    built on first use and kept for the caller's solve, keyed by the terms of
-    the product, so pairs (i, j) with equal products share it."""
-    n = a.dim
-    f = a.field
-    terms = a.terms
-    basis = [[[] for _ in range(n)] for _ in range(n)]
-    for t in range(n):
+def _product_rows(f, n: int, table, prod, cache: dict) -> tuple:
+    """The sum c op_t over the terms (t, c) of a product, op_t the operator
+    with sparse columns ``table[t]``, as sparse rows: row m the (q, v) pairs
+    of its nonzero entries, ascending in q, with no n x n accumulator.  Kept
+    in ``cache`` under ``prod``, so equal products are combined once."""
+    rows = cache.get(prod)
+    if rows is None:
+        acc = [{} for _ in range(n)]
         for q in range(n):
-            for m, v in terms[t][q] if side == "left" else terms[q][t]:
-                basis[t][m].append((q, v))
-    cache = {}
-
-    def op(i, j):
-        prod = terms[i][j]
-        rows = cache.get(prod)
-        if rows is None:
-            rows = []
-            for m in range(n):
-                acc = {}
-                for t, c in prod:
-                    for q, v in basis[t][m]:
-                        v = f.mul(c, v)
-                        acc[q] = f.add(acc[q], v) if q in acc else v
-                rows.append(tuple(sorted([e for e in acc.items() if e[1]])))
-            rows = tuple(rows)
-            cache[prod] = rows
-        return rows
-
-    return op
+            for t, c in prod:
+                for m, v in table[t][q]:
+                    row = acc[m]
+                    v = f.mul(c, v)
+                    row[q] = f.add(row[q], v) if q in row else v
+        rows = cache[prod] = tuple(tuple(e for e in r.items() if e[1]) for r in acc)
+    return rows
 
 
 @lru_cache(maxsize=32)
@@ -151,14 +136,15 @@ def twist_space(a: Algebra) -> TwistSpace:
     oracle)."""
     n = a.dim
     f = a.field
+    terms = a.terms
+    left, right = twisted_ops(a)
+    lrows, rrows = {}, {}  # L_{e_i e_j} and R_{e_j e_k}, kept for this solve
     solver = NullspaceSolver(f, n * n)
-    left = _sparse_product_ops(a, "left")
-    right = _sparse_product_ops(a, "right")
     for i, j, k in _triple_order(n):
         if solver.full_rank:
             break
-        lu = left(i, j)
-        rv = right(j, k)
+        lu = _product_rows(f, n, left, terms[i][j], lrows)
+        rv = _product_rows(f, n, right, terms[j][k], rrows)
         for m in range(n):
             pairs = [(q * n + k, v) for q, v in lu[m]]
             pairs += [(q * n + i, f.neg(w)) for q, w in rv[m]]
@@ -183,15 +169,13 @@ def hu_t(a: Algebra, side: str = "left") -> Subspace:
         raise ValueError(f"unknown side {side!r}")
     n = a.dim
     f = a.field
+    left, right = twisted_ops(a)
     # op_of[q * n + t]: the (s, c) with c entry (q, t) of L_{e_s} (or R_{e_s})
     op_of = [[] for _ in range(n * n)]
-    for s, row in enumerate(a.terms):
-        for t, p in enumerate(row):
-            for q, c in p:
-                if side == "left":
-                    op_of[q * n + t].append((s, c))
-                else:
-                    op_of[q * n + s].append((t, c))
+    for s, cols in enumerate(left if side == "left" else right):
+        for t, col in enumerate(cols):
+            for q, c in col:
+                op_of[q * n + t].append((s, c))
     rows = twist_space(a).space.complement_rows()
     return nullspace(f, n, (combine(f, n, op_of, sparse_entries(w)) for w in rows))
 

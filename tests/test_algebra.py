@@ -15,6 +15,7 @@ from homalg.algebra import (
     InvolutiveAlgebra,
     is_idempotent_elem,
     is_idempotent_map,
+    twisted_ops,
 )
 from homalg.campaign import builtin_corpus
 from homalg.constructions import (
@@ -23,8 +24,10 @@ from homalg.constructions import (
     random_algebra,
     random_linear_map,
     truncated_poly,
+    yau_criterion,
+    yau_twist,
 )
-from homalg.errors import DimensionMismatch, InvariantViolation
+from homalg.errors import DimensionMismatch, FieldMismatch, InvariantViolation
 from homalg.fields import GF, QQ
 from homalg.linalg import (
     Matrix,
@@ -132,9 +135,11 @@ def test_associator_tensor_matches_elementwise(name, a):
 
 @pytest.mark.parametrize("name,a", TENSOR_ALGEBRAS, ids=[n for n, _ in TENSOR_ALGEBRAS])
 def test_op_columns_are_the_sparse_operator_columns(name, a):
+    # the n^2 basis products include multi-term and non-unit elements
     elems = a.basis_elements() + [
         random_linear_map(a.field, a.dim, seed).column(0) for seed in range(3)
     ]
+    elems += [p for row in a.products for p in row]
     for x in elems:
         assert a.op_columns(x, "left") == sparse_columns(a.left_op(x)), name
         assert a.op_columns(x, "right") == sparse_columns(a.right_op(x)), name
@@ -144,15 +149,45 @@ def test_op_columns_are_the_sparse_operator_columns(name, a):
 
 @pytest.mark.parametrize("name,a", TENSOR_ALGEBRAS, ids=[n for n, _ in TENSOR_ALGEBRAS])
 def test_sparse_product_ops_are_the_product_operators(name, a):
+    # the twist system's rows of L_{e_i e_j} and R_{e_i e_j}, summed from the
+    # basis tables of ``twisted_ops``
     basis = a.basis_elements()
-    for side, dense_op in (("left", a.left_op), ("right", a.right_op)):
-        op = homstruct._sparse_product_ops(a, side)
+    left, right = twisted_ops(a)
+    for side, table, dense_op in (("left", left, a.left_op), ("right", right, a.right_op)):
         for i, j in iter_product(range(a.dim), repeat=2):
-            rows = [tuple(r) for r in op(i, j)]
+            rows = list(homstruct._product_rows(a.field, a.dim, table, a.terms[i][j], {}))
             want = [sparse_entries(r) for r in dense_op(a.multiply(basis[i], basis[j])).rows]
             assert rows == want, (name, side, i, j)
             for r in rows:
                 assert [q for q, _ in r] == sorted({q for q, _ in r}), (name, side, i, j)
+
+
+@pytest.mark.parametrize("name,a", TENSOR_ALGEBRAS, ids=[n for n, _ in TENSOR_ALGEBRAS])
+def test_twisted_ops_are_the_twisted_operator_columns(name, a):
+    n = a.dim
+    left, right = twisted_ops(a)
+    assert left is a.terms
+    for i in range(n):
+        assert list(left[i]) == sparse_columns(a.left_op(a.basis(i))), (name, i)
+        assert list(right[i]) == sparse_columns(a.right_op(a.basis(i))), (name, i)
+    for seed in range(2):
+        tw = random_linear_map(a.field, n, seed)
+        left, right = twisted_ops(a, tw)
+        for i in range(n):
+            assert left[i] == sparse_columns(a.left_op(tw.column(i))), (name, seed, i)
+            assert right[i] == sparse_columns(a.right_op(tw.column(i))), (name, seed, i)
+
+
+@pytest.mark.parametrize(
+    "enter", [HomAlgebra, twisted_ops, yau_twist, yau_criterion], ids=lambda f: f.__name__
+)
+def test_twist_entry_points_check_the_twist(enter):
+    a = qalg(NIL2)
+    with pytest.raises(FieldMismatch):
+        enter(a, Matrix.identity(GF(3), 2))
+    for shape in ((2, 3), (3, 2)):
+        with pytest.raises(DimensionMismatch):
+            enter(a, Matrix.zero(QQ, *shape))
 
 
 def test_tensor_algebras_have_general_products():

@@ -13,7 +13,10 @@ from homalg.campaign import (
     nil2_algebra,
     projection_algebra,
 )
+from homalg.algebra import HomAlgebra
 from homalg.errors import HomalgError
+from homalg.fields import QQ
+from homalg.linalg import Matrix
 
 
 @pytest.fixture()
@@ -167,6 +170,28 @@ def test_leibniz_cli_with_twist(tmp_path, capsys):
     assert code == 0
     assert "hom_lie" in doc
     assert doc["hom_lie"]["jacobi_form"].startswith("[t(x)")
+
+
+_TWIST_CONFLICTS = [
+    ["--left-mult", "1", "--right-mult", "0"],
+    ["--twist-from-file", "--left-mult", "0"],
+    ["--right-mult", "1", "--twist-from-file"],
+]
+
+
+@pytest.mark.parametrize("options", _TWIST_CONFLICTS, ids=lambda o: "+".join(o))
+@pytest.mark.parametrize("command", ["yau", "leibniz"])
+def test_conflicting_twist_options_exit_two(tmp_path, capsys, command, options):
+    # a file with a twist grid, so each option alone would be accepted
+    path = tmp_path / "twisted.json"
+    emit(HomAlgebra(leib2_algebra(), Matrix.identity(QQ, 2)), path)
+    out = tmp_path / "out.json"
+    argv = [command, str(path), *options] + (["-o", str(out)] if command == "yau" else [])
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_campaign_empty_corpus_exit_zero(tmp_path, capsys):

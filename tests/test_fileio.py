@@ -307,4 +307,5 @@ def test_mutated_documents_fail_cleanly(tmp_path_factory, base, mutations):
             parse(path)
         except HomalgError:
             pass
-        assert main(["analyze", str(path)]) in (0, 1, 2)
+        for argv in (["analyze"], ["leibniz"], ["leibniz", "--twist-from-file"]):
+            assert main([*argv, str(path)]) in (0, 1, 2), argv

@@ -1,8 +1,9 @@
 """The hoisted oracle scans against their dense references.
 
-``constructions.yau_criterion``, ``homstruct.relation_tables_check`` and
-``HomAlgebra.multiplicativity_witness`` read twisted images from tables built
-once, through sparse columns.  These tests keep the dense scans they replaced,
+``constructions.yau_criterion``, ``homstruct.relation_tables_check``,
+``HomAlgebra.multiplicativity_witness``, ``leibniz.leibniz_check`` and
+``leibniz.hom_lie_check`` read twisted images from tables built once,
+through sparse columns.  These tests keep the dense scans they replaced,
 which apply the twist with ``Matrix.apply`` and multiply with
 ``Algebra.multiply`` inside every pair or triple, and require the same
 (holds, witness) results, the same witness pairs and the same relation rows.
@@ -16,6 +17,7 @@ from homalg.algebra import HomAlgebra
 from homalg.campaign import _twist_instances, builtin_corpus, generated_algebras
 from homalg.constructions import (
     GeneratorConfig,
+    cayley_dickson_chain,
     opposite,
     opposite_hom,
     random_algebra,
@@ -24,6 +26,7 @@ from homalg.constructions import (
     yau_criterion,
 )
 from homalg.fields import GF, QQ
+from homalg.leibniz import hom_lie_check, leibniz_check
 from homalg.linalg import Matrix, kernel, vec_add, vec_is_zero, vec_sub
 
 
@@ -45,6 +48,52 @@ def dense_yau_witness(a, alpha):
                 if not vec_is_zero(alpha.apply(inner)):
                     return (i, j, k)
     return None
+
+
+def dense_leibniz_check(a, side, twist=None):
+    n = a.dim
+    f = a.field
+    timg = a.basis_elements() if twist is None else [twist.apply(a.basis(i)) for i in range(n)]
+    mul = a.multiply
+    for i in range(n):
+        x = a.basis(i)
+        for j in range(n):
+            for k in range(n):
+                z = a.basis(k)
+                if side == "left":
+                    lhs = mul(timg[i], a.products[j][k])
+                    rhs = vec_add(f, mul(a.products[i][j], timg[k]), mul(timg[j], mul(x, z)))
+                else:
+                    lhs = mul(a.products[i][j], timg[k])
+                    rhs = vec_add(f, mul(mul(x, z), timg[j]), mul(timg[i], a.products[j][k]))
+                if lhs != rhs:
+                    return False, (i, j, k)
+    return True, None
+
+
+def dense_hom_lie_check(h):
+    a = h.base
+    f = a.field
+    n = a.dim
+    for i in range(n):
+        if not vec_is_zero(a.products[i][i]):
+            return False, ("skew_symmetry", (i, i))
+        for j in range(i + 1, n):
+            if not vec_is_zero(vec_add(f, a.products[i][j], a.products[j][i])):
+                return False, ("skew_symmetry", (i, j))
+    timg = [h.twist.apply(a.basis(i)) for i in range(n)]
+    mul = a.multiply
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                total = vec_add(
+                    f,
+                    vec_add(f, mul(timg[i], a.products[j][k]), mul(timg[j], a.products[k][i])),
+                    mul(timg[k], a.products[i][j]),
+                )
+                if not vec_is_zero(total):
+                    return False, ("hom_jacobi", (i, j, k))
+    return True, None
 
 
 def dense_multiplicativity_witness(h):
@@ -310,3 +359,41 @@ def test_hoisted_rows_hold_and_fail_on_random_maps(monkeypatch, row):
                 if row in rows:
                     outcomes.add(rows[row])
     assert outcomes == {True, False}
+
+
+# -- Leibniz and hom-Jacobi scans -------------------------------------------------------
+
+
+def _leibniz_cases():
+    """The campaign algebras of the builtin corpus and the first 40 seeds, and
+    the sedenions, each with no twist (None), its twist-space basis maps,
+    every L_{e_s} and R_{e_s} and three seeded random maps."""
+    sedenions = cayley_dickson_chain(4)[4].base
+    for name, a in builtin_corpus() + generated_algebras(40) + [("sedenions", sedenions)]:
+        maps = [None, *homstruct.twist_space(a).maps]
+        maps += [a.left_op(a.basis(s)) for s in range(a.dim)]
+        maps += [a.right_op(a.basis(s)) for s in range(a.dim)]
+        yield name, a, maps + _random_maps(a)
+
+
+def test_leibniz_check_matches_dense_scan():
+    outcomes = {"left": set(), "right": set()}
+    for name, a, maps in _leibniz_cases():
+        for m in maps:
+            for side in outcomes:
+                got = leibniz_check(a, side, m)
+                assert got == dense_leibniz_check(a, side, m), (name, side)
+                outcomes[side].add(got[0])
+    assert outcomes == {"left": {True, False}, "right": {True, False}}
+
+
+def test_hom_lie_check_matches_dense_scan():
+    # no twist here is the identity twist
+    outcomes = set()
+    for name, a, maps in _leibniz_cases():
+        for m in maps:
+            h = HomAlgebra(a, Matrix.identity(a.field, a.dim) if m is None else m)
+            got = hom_lie_check(h)
+            assert got == dense_hom_lie_check(h), name
+            outcomes.add(got[1][0] if got[1] else got[0])
+    assert outcomes == {True, "skew_symmetry", "hom_jacobi"}

@@ -9,7 +9,12 @@ import pytest
 from conftest import LEIB2, fpalg, qalg
 from homalg.algebra import Algebra, HomAlgebra
 from homalg.constructions import GeneratorConfig, random_algebra
-from homalg.errors import NotLeibniz, PreconditionViolated
+from homalg.errors import (
+    DimensionMismatch,
+    FieldMismatch,
+    NotLeibniz,
+    PreconditionViolated,
+)
 from homalg.fields import GF, QQ
 from homalg.homstruct import hu_t
 from homalg.leibniz import (
@@ -88,6 +93,17 @@ def test_hom_leibniz_with_twist():
     alpha = a.left_op(a.basis(0))
     ok, _ = leibniz_check(a, "right", alpha)
     assert ok
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_leibniz_check_rejects_a_foreign_twist(leib2, side):
+    # a twist over another field or of the wrong shape is an error, not a
+    # silent verdict
+    with pytest.raises(FieldMismatch):
+        leibniz_check(leib2, side, Matrix.identity(GF(3), 2))
+    for shape in ((2, 3), (3, 2)):
+        with pytest.raises(DimensionMismatch):
+            leibniz_check(leib2, side, Matrix.zero(QQ, *shape))
 
 
 # -- associator span identities (from the Leibniz rule) ------------------------------
