@@ -89,11 +89,7 @@ def cmd_ac(args) -> int:
         idem_space = space
     else:
         acs = homstruct.ac_one_sided(a, args.side)
-        doc["unity"] = reports.scalar_list(a.field, acs.unity)
-        doc["ac"] = reports.subspace_json(acs.ac)
-        doc["ac_unit"] = reports.subspace_json(acs.ac_unit)
-        doc["annihilator"] = reports.subspace_json(acs.ann)
-        doc["split_ok"] = acs.split_ok
+        doc.update(reports.ac_json(acs))
         idem_space = acs.ac_unit
     try:
         idems = sub.idempotents(a, idem_space)
@@ -168,12 +164,11 @@ def cmd_leibniz(args) -> int:
     x = fileio.parse(args.file)
     a = _base_of(x)
     doc: dict = {"tool": reports.tool_stamp()}
-    ok_l, wit_l = leibniz.leibniz_check(a, "left")
-    ok_r, wit_r = leibniz.leibniz_check(a, "right")
-    doc["left_leibniz"] = {"holds": ok_l, "witness": wit_l}
-    doc["right_leibniz"] = {"holds": ok_r, "witness": wit_r}
+    witnesses = leibniz.leibniz_check(a)
+    for side, wit in zip(("left", "right"), witnesses):
+        doc[f"{side}_leibniz"] = {"holds": wit is None, "witness": wit}
     failed = False
-    if ok_l or ok_r:
+    if None in witnesses:
         try:
             hu = leibniz.hu_n_leibniz(a)
             doc["hu_n"] = reports.subspace_json(hu)
@@ -192,8 +187,8 @@ def cmd_leibniz(args) -> int:
             "witness": hl_wit,
             "jacobi_form": leibniz.HOM_JACOBI_FORM,
         }
-        doc["hom_leibniz_left"] = leibniz.leibniz_check(a, "left", alpha)[0]
-        doc["hom_leibniz_right"] = leibniz.leibniz_check(a, "right", alpha)[0]
+        for side, wit in zip(("left", "right"), leibniz.leibniz_check(a, alpha)):
+            doc[f"hom_leibniz_{side}"] = wit is None
         crossed = leibniz.crossed_unitality_check(h)
         doc["crossed_unitality"] = crossed
         failed = failed or not crossed["ok"]

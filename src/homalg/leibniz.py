@@ -2,13 +2,16 @@
 results: the hom-unity subspace inside the nilpotents, unitality collapse,
 crossed unitality, and the Yau twist to a hom-Lie algebra.
 
-The bracket is the algebra product; no separate bracket type exists.  The
-Leibniz scans, which also decide hom-Jacobi, read each term t(e_i)(e_j e_k)
-or (e_i e_j)t(e_k) from the ``algebra.twisted_ops`` tables, not by multiplying.
+The bracket is the algebra product; no separate bracket type exists.  One
+Leibniz scan, which also decides hom-Jacobi, answers both sides at once and
+is memoized per (algebra, twist) value in a bounded lru cache; it reads each
+term t(e_i)(e_j e_k) or (e_i e_j)t(e_k) from the ``algebra.twisted_ops``
+tables, not by multiplying.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 from homalg.algebra import Algebra, HomAlgebra, twisted_ops
@@ -24,34 +27,32 @@ from homalg import homstruct
 from homalg import subspaces as sub
 
 
-def leibniz_check(a: Algebra, side: str = "left", twist: Matrix | None = None):
-    """(ok, witness): the (hom-)Leibniz identity of the given side on all
-    basis triples, the first failing triple in lexicographic order as the
-    witness; without a twist this is the classical identity.
+@lru_cache(maxsize=64)
+def leibniz_check(a: Algebra, twist: Matrix | None = None):
+    """(left_witness, right_witness): for each side, the first basis triple in
+    lexicographic order where its (hom-)Leibniz identity fails, or None where
+    it holds on all of them; without a twist these are the classical
+    identities.  One scan decides both sides: each triple computes the two
+    shared terms once, and the scan stops once both sides have failed.
 
     left:  [t(x), [y, z]] = [[x, y], t(z)] + [t(y), [x, z]]
     right: [[x, y], t(z)] = [[x, z], t(y)] + [t(x), [y, z]]
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"unknown side {side!r}")
     n = a.dim
     f = a.field
     terms = a.terms
     left, right = twisted_ops(a, twist)
-    # the last term: [t(y), [x, z]] (left) or [[x, z], t(y)] (right)
-    last = left if side == "left" else right
+    wit_l = wit_r = None
     for i, j, k in product(range(n), repeat=3):
         outer = combine(f, n, left[i], terms[j][k])  # [t(x), [y, z]]
         inner = combine(f, n, right[k], terms[i][j])  # [[x, y], t(z)]
-        lhs, rest = (outer, inner) if side == "left" else (inner, outer)
-        if lhs != vec_add(f, rest, combine(f, n, last[j], terms[i][k])):
-            return False, (i, j, k)
-    return True, None
-
-
-def commutative_center(a: Algebra) -> Subspace:
-    """Elements whose bracket with everything is symmetric."""
-    return sub.centralizer(a, Subspace.full(a.field, a.dim))
+        if wit_l is None and outer != vec_add(f, inner, combine(f, n, left[j], terms[i][k])):
+            wit_l = (i, j, k)
+        if wit_r is None and inner != vec_add(f, outer, combine(f, n, right[j], terms[i][k])):
+            wit_r = (i, j, k)
+        if None not in (wit_l, wit_r):
+            break
+    return wit_l, wit_r
 
 
 def is_three_nilpotent_element(a: Algebra, v) -> bool:
@@ -85,11 +86,9 @@ def hu_n_leibniz(a: Algebra) -> Subspace:
     every basis vector, and that each basis vector is a compatible left
     multiplier (its left multiplication operator is a valid twist).
     """
-    ok_l, _ = leibniz_check(a, "left")
-    ok_r, _ = leibniz_check(a, "right")
-    if not (ok_l or ok_r):
+    if None not in leibniz_check(a):
         raise NotLeibniz("bracket satisfies neither Leibniz identity")
-    c = commutative_center(a)
+    c = sub.center(a)
     derived = sub.span_of(a, "products")
     result = meet(c, sub.annihilator(a, derived, "left"))
     right_variant = meet(c, sub.annihilator(a, derived, "right"))
@@ -114,9 +113,7 @@ def hu_n_leibniz(a: Algebra) -> Subspace:
 
 def unitality_collapse_check(a: Algebra) -> dict:
     """A Leibniz bracket with any one-sided unity must be the zero product."""
-    ok_l, _ = leibniz_check(a, "left")
-    ok_r, _ = leibniz_check(a, "right")
-    if not (ok_l or ok_r):
+    if None not in leibniz_check(a):
         return {"applicable": False, "ok": True, "reason": "not Leibniz on either side"}
     unital = (
         not sub.find_unities(a, "left").is_empty
@@ -144,8 +141,7 @@ def crossed_unitality_check(h: HomAlgebra) -> dict:
         return report
     uni_l = sub.find_unities(a, "left")
     uni_r = sub.find_unities(a, "right")
-    leib_l, _ = leibniz_check(a, "left", h.twist)
-    leib_r, _ = leibniz_check(a, "right", h.twist)
+    leib_l, leib_r = (w is None for w in leibniz_check(a, h.twist))
     full = Subspace.full(a.field, a.dim)
     ann_l = sub.annihilator(a, full, "left")
     ann_r = sub.annihilator(a, full, "right")
@@ -201,8 +197,8 @@ def hom_lie_check(h: HomAlgebra):
             s = vec_add(f, a.products[i][j], a.products[j][i])
             if not vec_is_zero(s):
                 return False, ("skew_symmetry", (i, j))
-    ok, witness = leibniz_check(a, "left", h.twist)
-    return (True, None) if ok else (False, ("hom_jacobi", witness))
+    witness = leibniz_check(a, h.twist)[0]
+    return (True, None) if witness is None else (False, ("hom_jacobi", witness))
 
 
 def leibniz_yau_to_homlie(a: Algebra, mult, w, side: str = "right") -> HomAlgebra:
@@ -226,8 +222,8 @@ def leibniz_yau_to_homlie(a: Algebra, mult, w, side: str = "right") -> HomAlgebr
         alpha = a.right_op(mult)
         fixed = a.multiply(w, mult)
         fixed_name = "mult = [w, mult]"
-    ok, witness = leibniz_check(a, side, alpha)
-    if not ok:
+    witness = leibniz_check(a, alpha)[0 if side == "left" else 1]
+    if witness is not None:
         raise PreconditionViolated(
             f"not {side} hom-Leibniz for the multiplication twist, witness {witness}"
         )

@@ -48,6 +48,17 @@ def tool_stamp() -> dict:
     return {"name": "homalg", "version": homalg.__version__, "prng": PRNG_NAME}
 
 
+def ac_json(acs) -> dict:
+    """An ``AcOneSided``: its unity, the multiplier subspaces and the split."""
+    return {
+        "unity": scalar_list(acs.ac.field, acs.unity),
+        "ac": subspace_json(acs.ac),
+        "ac_unit": subspace_json(acs.ac_unit),
+        "annihilator": subspace_json(acs.ann),
+        "split_ok": acs.split_ok,
+    }
+
+
 def audit_json(report) -> dict:
     a = report.algebra
     out = {
@@ -69,16 +80,7 @@ def audit_json(report) -> dict:
         "ok": report.ok(),
     }
     for side, acs in (("ac_left", report.ac_left), ("ac_right", report.ac_right)):
-        if acs is None:
-            out[side] = None
-        else:
-            out[side] = {
-                "unity": scalar_list(a.field, acs.unity),
-                "ac": subspace_json(acs.ac),
-                "ac_unit": subspace_json(acs.ac_unit),
-                "annihilator": subspace_json(acs.ann),
-                "split_ok": acs.split_ok,
-            }
+        out[side] = None if acs is None else ac_json(acs)
     return out
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from homalg import homstruct, subspaces
+from homalg import homstruct, leibniz, subspaces
 from homalg.algebra import Algebra
 from homalg.constructions import cayley_dickson_chain
 from homalg.fields import GF, QQ
@@ -24,6 +24,7 @@ MEMOIZED = (
     homstruct.ac_r_subspace,
     homstruct.hu_n,
     homstruct.ac_one_sided,
+    leibniz.leibniz_check,
 )
 
 
@@ -63,6 +64,11 @@ def projection_tensor(dim):
 
 NIL2 = [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]  # e0 e0 = e1
 LEIB2 = [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]  # [y, y] = x
+
+
+def left_only_leibniz():
+    """[y, x] = [y, y] = x: left Leibniz but not right Leibniz."""
+    return qalg([[[0, 0], [0, 0]], [[1, 0], [1, 0]]])
 
 
 def matrix_algebra_tensor(k):

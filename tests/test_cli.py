@@ -5,9 +5,12 @@ import time
 
 import pytest
 
+from conftest import clear_memo
+from homalg import leibniz
 from homalg.cli import main
 from homalg.fileio import emit, parse
 from homalg.campaign import (
+    cross_product_algebra,
     generated_algebras,
     leib2_algebra,
     nil2_algebra,
@@ -170,6 +173,24 @@ def test_leibniz_cli_with_twist(tmp_path, capsys):
     assert code == 0
     assert "hom_lie" in doc
     assert doc["hom_lie"]["jacobi_form"].startswith("[t(x)")
+
+
+def test_leibniz_cli_scans_once_per_twist(tmp_path, capsys, monkeypatch):
+    # each (bracket, twist) question is one scan deciding both sides, and the
+    # report, hu_n_leibniz, the collapse, hom-Lie and crossed unitality share it
+    path = tmp_path / "cross.json"
+    emit(cross_product_algebra(), path)
+    scans = []
+    real = leibniz.twisted_ops
+    monkeypatch.setattr(
+        leibniz, "twisted_ops", lambda a, t=None: scans.append(t) or real(a, t)
+    )
+    for options, want in (([], 1), (["--left-mult", "1"], 2)):
+        clear_memo()
+        scans.clear()
+        assert main(["leibniz", str(path), *options]) == 0
+        assert len(scans) == want, options
+    capsys.readouterr()
 
 
 _TWIST_CONFLICTS = [

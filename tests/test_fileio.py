@@ -307,5 +307,15 @@ def test_mutated_documents_fail_cleanly(tmp_path_factory, base, mutations):
             parse(path)
         except HomalgError:
             pass
-        for argv in (["analyze"], ["leibniz"], ["leibniz", "--twist-from-file"]):
+        out = str(path.parent / "out.json")
+        for argv in (
+            ["analyze"],
+            ["leibniz"],
+            ["leibniz", "--twist-from-file"],
+            ["twist-space"],
+            *(["ac", "--side", side] for side in ("left", "right", "two")),
+            ["yau", "--left-mult", "0", "-o", out],
+            ["unitalize", "-o", out],
+            ["opposite", "-o", out],
+        ):
             assert main([*argv, str(path)]) in (0, 1, 2), argv

@@ -11,6 +11,7 @@ which apply the twist with ``Matrix.apply`` and multiply with
 
 import pytest
 
+from conftest import left_only_leibniz
 from homalg import homstruct
 from homalg import subspaces as sub
 from homalg.algebra import HomAlgebra
@@ -365,11 +366,18 @@ def test_hoisted_rows_hold_and_fail_on_random_maps(monkeypatch, row):
 
 
 def _leibniz_cases():
-    """The campaign algebras of the builtin corpus and the first 40 seeds, and
-    the sedenions, each with no twist (None), its twist-space basis maps,
-    every L_{e_s} and R_{e_s} and three seeded random maps."""
+    """The campaign algebras of the builtin corpus and the first 40 seeds, the
+    sedenions, and a bracket that is Leibniz on the left only with its
+    opposite (right only), each with no twist (None), its twist-space basis
+    maps, every L_{e_s} and R_{e_s} and three seeded random maps."""
     sedenions = cayley_dickson_chain(4)[4].base
-    for name, a in builtin_corpus() + generated_algebras(40) + [("sedenions", sedenions)]:
+    one_sided = left_only_leibniz()
+    extra = [
+        ("sedenions", sedenions),
+        ("left_only_leibniz", one_sided),
+        ("left_only_leibniz_opposite", opposite(one_sided)),
+    ]
+    for name, a in builtin_corpus() + generated_algebras(40) + extra:
         maps = [None, *homstruct.twist_space(a).maps]
         maps += [a.left_op(a.basis(s)) for s in range(a.dim)]
         maps += [a.right_op(a.basis(s)) for s in range(a.dim)]
@@ -377,14 +385,21 @@ def _leibniz_cases():
 
 
 def test_leibniz_check_matches_dense_scan():
-    outcomes = {"left": set(), "right": set()}
+    # the one scan gives each side's own witness: the cases hold on one side
+    # only (either one), and fail on both at the same or at different triples
+    outcomes = set()
     for name, a, maps in _leibniz_cases():
         for m in maps:
-            for side in outcomes:
-                got = leibniz_check(a, side, m)
-                assert got == dense_leibniz_check(a, side, m), (name, side)
-                outcomes[side].add(got[0])
-    assert outcomes == {"left": {True, False}, "right": {True, False}}
+            got = leibniz_check(a, m)
+            assert got == tuple(
+                dense_leibniz_check(a, side, m)[1] for side in ("left", "right")
+            ), name
+            wit_l, wit_r = got
+            if None in got:
+                outcomes.add((wit_l is None, wit_r is None))
+            else:
+                outcomes.add("same" if wit_l == wit_r else "different")
+    assert outcomes == {(True, True), (True, False), (False, True), "same", "different"}
 
 
 def test_hom_lie_check_matches_dense_scan():

@@ -6,7 +6,7 @@ from itertools import product as iter_product
 
 import pytest
 
-from conftest import LEIB2, fpalg, qalg
+from conftest import LEIB2, fpalg, left_only_leibniz, qalg
 from homalg.algebra import Algebra, HomAlgebra
 from homalg.constructions import GeneratorConfig, random_algebra
 from homalg.errors import (
@@ -19,7 +19,6 @@ from homalg.fields import GF, QQ
 from homalg.homstruct import hu_t
 from homalg.leibniz import (
     HOM_JACOBI_FORM,
-    commutative_center,
     crossed_unitality_check,
     hom_lie_check,
     hu_n_leibniz,
@@ -29,7 +28,7 @@ from homalg.leibniz import (
     unitality_collapse_check,
 )
 from homalg.linalg import Matrix, Subspace
-from homalg.subspaces import span_of
+from homalg.subspaces import center, span_of
 
 
 def cross_product():
@@ -40,23 +39,16 @@ def cross_product():
     return qalg(t)
 
 
-def left_only_leibniz():
-    """[y, x] = [y, y] = x: left Leibniz but not right Leibniz."""
-    return qalg([[[0, 0], [0, 0]], [[1, 0], [1, 0]]])
-
-
 # -- the identity checks -----------------------------------------------------------
 
 
 def test_lie_algebra_is_both_sided():
     lie = cross_product()
-    assert leibniz_check(lie, "left") == (True, None)
-    assert leibniz_check(lie, "right") == (True, None)
+    assert leibniz_check(lie) == (None, None)
 
 
 def test_leib2_right_leibniz(leib2):
-    ok, wit = leibniz_check(leib2, "right")
-    assert ok and wit is None
+    assert leibniz_check(leib2)[1] is None
 
 
 def test_leib2_perturbation_fails():
@@ -64,9 +56,8 @@ def test_leib2_perturbation_fails():
         a = random_algebra(GeneratorConfig(seed=seed, dim=2, field=QQ, flag="none"))
         if a.is_zero_algebra():
             continue
-        okl, witl = leibniz_check(a, "left")
-        okr, witr = leibniz_check(a, "right")
-        if not okl:
+        witl = leibniz_check(a)[0]
+        if witl is not None:
             i, j, k = witl
             # witness really violates the identity
             x, y, z = a.basis(i), a.basis(j), a.basis(k)
@@ -82,28 +73,26 @@ def test_leib2_perturbation_fails():
 
 def test_one_sided_example_is_left_only():
     a = left_only_leibniz()
-    assert leibniz_check(a, "left") == (True, None)
-    ok, wit = leibniz_check(a, "right")
-    assert not ok and wit is not None
+    wit_l, wit_r = leibniz_check(a)
+    assert wit_l is None and wit_r is not None
 
 
 def test_hom_leibniz_with_twist():
     # [a, w] = a with zero elsewhere: right hom-Leibniz for the twist L_a
     a = qalg([[[0, 0], [1, 0]], [[0, 0], [0, 0]]])
     alpha = a.left_op(a.basis(0))
-    ok, _ = leibniz_check(a, "right", alpha)
-    assert ok
+    assert leibniz_check(a, alpha)[1] is None
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_leibniz_check_rejects_a_foreign_twist(leib2, side):
+def test_leibniz_check_rejects_a_foreign_twist(leib2):
     # a twist over another field or of the wrong shape is an error, not a
-    # silent verdict
-    with pytest.raises(FieldMismatch):
-        leibniz_check(leib2, side, Matrix.identity(GF(3), 2))
-    for shape in ((2, 3), (3, 2)):
-        with pytest.raises(DimensionMismatch):
-            leibniz_check(leib2, side, Matrix.zero(QQ, *shape))
+    # silent verdict, and an error is not cached: asking again raises again
+    for _ in range(2):
+        with pytest.raises(FieldMismatch):
+            leibniz_check(leib2, Matrix.identity(GF(3), 2))
+        for shape in ((2, 3), (3, 2)):
+            with pytest.raises(DimensionMismatch):
+                leibniz_check(leib2, Matrix.zero(QQ, *shape))
 
 
 # -- associator span identities (from the Leibniz rule) ------------------------------
@@ -131,12 +120,11 @@ def test_leibniz_associator_span_identities():
         )
         cases.append(a)
     for a in cases:
-        ok_l, _ = leibniz_check(a, "left")
-        ok_r, _ = leibniz_check(a, "right")
+        wit_l, wit_r = leibniz_check(a)
         assoc = span_of(a, "associators")
-        if ok_l:
+        if wit_l is None:
             assert assoc == _bracket_span(a, "left_nested")
-        if ok_r:
+        if wit_r is None:
             assert assoc == _bracket_span(a, "right_nested")
 
 
@@ -174,9 +162,7 @@ def test_hu_n_leibniz_campaign():
         a = random_algebra(
             GeneratorConfig(seed=s, dim=3, field=field, flag="anticommutative")
         )
-        ok_l, _ = leibniz_check(a, "left")
-        ok_r, _ = leibniz_check(a, "right")
-        if not (ok_l or ok_r):
+        if None not in leibniz_check(a):
             continue
         found += 1
         hu = hu_n_leibniz(a)  # internal assertions: 3-nilpotency + twist membership
@@ -197,7 +183,7 @@ def test_hu_n_leibniz_char2_nilpotency_counterexample():
             [[0, 0, 0], [1, 0, 0], [0, 0, 0]],
         ],
     )
-    assert leibniz_check(a, "left")[0] and leibniz_check(a, "right")[0]
+    assert leibniz_check(a) == (None, None)
     hu = hu_n_leibniz(a)  # nilpotency assertion is gated off in char 2
     e0 = a.basis(0)
     assert hu.contains(e0)
@@ -207,8 +193,7 @@ def test_hu_n_leibniz_char2_nilpotency_counterexample():
 
 
 def test_commutative_center_matches_manual(leib2):
-    c = commutative_center(leib2)
-    assert c.is_full()  # the bracket of leib2 is symmetric
+    assert center(leib2).is_full()  # the bracket of leib2 is symmetric
 
 
 # -- unitality collapse ------------------------------------------------------------------
@@ -272,8 +257,7 @@ def test_crossed_same_side_forces_zero_twist():
 
     for m in twist_space(a).maps:
         h = HomAlgebra(a, m)
-        ok_l, _ = leibniz_check(a, "left", m)
-        if ok_l:
+        if leibniz_check(a, m)[0] is None:
             rep = crossed_unitality_check(h)
             assert rep["ok"]
             impl = {
