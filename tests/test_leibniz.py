@@ -84,15 +84,20 @@ def test_hom_leibniz_with_twist():
     assert leibniz_check(a, alpha)[1] is None
 
 
-def test_leibniz_check_rejects_a_foreign_twist(leib2):
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_leibniz_check_rejects_a_foreign_twist(leib2, side):
     # a twist over another field or of the wrong shape is an error, not a
-    # silent verdict, and an error is not cached: asking again raises again
+    # silent verdict, and an error is not cached: asking again raises again,
+    # and the untwisted verdict on either side is left as it was
+    index = ("left", "right").index(side)
+    before = leibniz_check(leib2)[index]
     for _ in range(2):
         with pytest.raises(FieldMismatch):
             leibniz_check(leib2, Matrix.identity(GF(3), 2))
         for shape in ((2, 3), (3, 2)):
             with pytest.raises(DimensionMismatch):
                 leibniz_check(leib2, Matrix.zero(QQ, *shape))
+    assert leibniz_check(leib2)[index] == before
 
 
 # -- associator span identities (from the Leibniz rule) ------------------------------
