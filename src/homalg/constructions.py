@@ -21,7 +21,6 @@ from homalg.linalg import (
     Matrix,
     Subspace,
     combine,
-    meet,
     nullspace,
     sparse_columns,
     sparse_entries,
@@ -185,11 +184,10 @@ def ac_unitalized_by_eigenspaces(a: Algebra) -> Subspace:
             "associative unitalization must have its center as multiplier space"
         )
 
-    # kernel of (b, mu) -> mu must be the embedded hom-unity subspace
-    last_zero = Subspace.from_rows(
-        field, n + 1, [r for r in Matrix.identity(field, n + 1).rows[:n]]
-    )
-    ker_pi = meet(got, last_zero)
+    # kernel of (b, mu) -> mu must be the embedded hom-unity subspace: got's
+    # complement rows plus the one row mu = 0
+    mu_row = [field.zero] * n + [field.one]
+    ker_pi = nullspace(field, n + 1, [*got.complement_rows(), mu_row])
     hu = homstruct.hu_n(a, "two_sided")
     embedded = Subspace.from_rows(
         field, n + 1, [tuple(r) + (field.zero,) for r in hu.basis.rows]

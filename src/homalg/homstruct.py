@@ -3,15 +3,15 @@ families, and the one- and two-sided structure theorems with their
 verification machinery.
 
 Everything here reduces to exact kernel computations, one system per
-defining identity; ``hu_t`` and the multiplier spaces are composed from
-solved subspaces instead.  ``hu_t`` is the preimage of the twist space under
+defining identity; ``hu_t`` and the multiplier spaces reuse solved
+subspaces instead.  ``hu_t`` is the preimage of the twist space under
 x -> L_x (or R_x), solved in n unknowns against the twist space's complement
 rows, and every meet is one stacked solve.  ``ac_l_subspace`` is defined by
 a(xy) = x(ay) and (ax)(yz) = a((xy)z); the first on the pair (xy, z) gives
-a((xy)z) = (xy)(az), so given the first the second says that L_a is a twist,
-and the space is ``hu_t(a, "left")`` met with the solutions of the first
-alone.  Basis-triple
-scans read ``Algebra.associators``.  Right-sided results are solved on the
+a((xy)z) = (xy)(az), so given the first the second says that L_a is a twist:
+the space is one solve over the complement rows of ``hu_t(a, "left")`` and
+the rows of the first identity.  Basis-triple scans read
+``Algebra.associators``.  Right-sided results are solved on the
 algebra itself with ``side="right"``: an algebra and its opposite have the
 same twist space, since (xy)alpha(z) = alpha(x)(yz) on (x, y, z) is the
 opposite's identity on (z, y, x), and R_x is L_x of the opposite, so one
@@ -185,12 +185,11 @@ def hu_t(a: Algebra, side: str = "left") -> Subspace:
 
 @lru_cache(maxsize=1)
 def _op_family(a: Algebra):
-    """``block(i, j)``: R_{e_i e_j} - L_{e_i} R_{e_j} as n dense rows, entry
+    """``block(i, j)``: the n dense rows of x(e_i e_j) = e_i(x e_j) in x, entry
     (m, s) the e_m coefficient of e_s (e_i e_j) - e_i (e_s e_j), built from
-    ``Algebra.terms`` on each call and kept by nobody.  Only this closure is
-    cached, never a row; the lru_cache stays so that the clearable-cache
-    contract of the memoized solvers (``perfbench/selftest.py`` clears it
-    before its traced pass) still holds."""
+    ``Algebra.terms`` on each call for ``_multiplier_space`` and kept by
+    nobody.  Only this closure is cached; the lru_cache stays so that the
+    clearable-cache contract (``perfbench/selftest.py``) still holds."""
     n = a.dim
     f = a.field
     terms = a.terms
@@ -209,26 +208,25 @@ def _op_family(a: Algebra):
     return block
 
 
-@lru_cache(maxsize=32)
-def _commuting_space(b: Algebra) -> Subspace:
-    """Solutions of x(e_i e_j) = e_i(x e_j): the nullspace of the blocks
-    ``_op_family(b)(i, j)``, each built when the solve reaches it, until full
-    rank; the solver drops repeated rows.  Cached per algebra value, so a
-    commutative algebra (equal to its opposite) solves it once for both
-    sides."""
-    n = b.dim
-    block = _op_family(b)
-    blocks = (block(i, j) for i in range(n) for j in range(n))
-    return nullspace(b.field, n, chain.from_iterable(blocks))
-
-
 def _multiplier_space(a: Algebra, side: str) -> Subspace:
-    """hu_t(a, side) met with the commuting space of ``a`` (left) or of its
-    opposite (right); a zero commuting space forces a zero meet, hu_t unsolved."""
-    commuting = _commuting_space(a if side == "left" else opposite(a))
-    if commuting.is_zero():
-        return commuting
-    return meet(hu_t(a, side), commuting)
+    """hu_t(a, side) cut by x(e_i e_j) = e_i(x e_j) in ``a`` (left) or its
+    opposite (right): one nullspace over hu_t's complement rows and the
+    ``_op_family`` blocks, each built when the solve reaches it.  A unity on
+    ``side`` solves that identity, so the blocks alone never reach full rank
+    and hu_t's rows go first; elsewhere the blocks go first, and hu_t is
+    solved only if they leave a kernel."""
+    n = a.dim
+    block = _op_family(a if side == "left" else opposite(a))
+    blocks = chain.from_iterable(block(i, j) for i in range(n) for j in range(n))
+
+    def twist_rows():
+        yield from hu_t(a, side).complement_rows()
+
+    if sub.find_unities(a, side).is_empty:
+        rows = chain(blocks, twist_rows())
+    else:
+        rows = chain(twist_rows(), blocks)
+    return nullspace(a.field, n, rows)
 
 
 @lru_cache(maxsize=32)
@@ -238,8 +236,8 @@ def ac_l_subspace(a: Algebra) -> Subspace:
 
     The first identity on the pair (xy, z) gives a((xy)z) = (xy)(az), so
     where it holds the second reads (ax)(yz) = (xy)(az): L_a is a twist.
-    The space is therefore the meet of hu_t(a, "left") with the solutions
-    of the first identity."""
+    The space is therefore hu_t(a, "left") cut by the first identity, solved
+    as one stacked system (``_multiplier_space``)."""
     return _multiplier_space(a, "left")
 
 
@@ -247,8 +245,15 @@ def ac_l_subspace(a: Algebra) -> Subspace:
 def ac_r_subspace(a: Algebra) -> Subspace:
     """``ac_l_subspace(opposite(a))``, solved on ``a``: the opposite has the
     same twist space and its L_x is R_x, so its hu_t(., "left") is
-    hu_t(a, "right"); only the commuting space is solved on the opposite."""
+    hu_t(a, "right"); only the commuting blocks are built on the opposite."""
     return _multiplier_space(a, "right")
+
+
+def _fixed_part(space: Subspace, op: Matrix) -> Subspace:
+    """The vectors of ``space`` that ``op`` fixes, as one nullspace over the
+    complement rows of ``space`` and the rows of op - I."""
+    rows = op.sub(Matrix.identity(op.field, op.nrows)).rows
+    return nullspace(space.field, space.ambient_dim, chain(space.complement_rows(), rows))
 
 
 @dataclass(frozen=True)
@@ -279,8 +284,7 @@ def ac_one_sided(a: Algebra, side: str = "left") -> AcOneSided:
     ac = (ac_l_subspace if side == "left" else ac_r_subspace)(a)
     unity_op = (a.right_op if side == "left" else a.left_op)(unity)
     ac_unit = ac.image_under(unity_op)
-    fixed = meet(ac, kernel(unity_op.sub(Matrix.identity(a.field, a.dim))))
-    if ac_unit != fixed:
+    if ac_unit != _fixed_part(ac, unity_op):
         raise InternalCheckFailure(
             "image under the unity differs from the unity-fixed subspace"
         )
@@ -782,7 +786,7 @@ def structure_theorem_audit(a: Algebra, unitalize_limit: int = 8) -> HomStructur
                 f"witness multiplier {as_fractions(a.field, list(gap[0]))}",
             )
 
-    zn = meet(spaces["center"], spaces["nucleus"])
+    zn = sub.center_and_nucleus(a)
     hu = spaces["hu_n"]
     ideal_ok = all(
         hu.contains(a.multiply(z, h)) and hu.contains(a.multiply(h, z))
@@ -860,7 +864,8 @@ def structure_theorem_audit(a: Algebra, unitalize_limit: int = 8) -> HomStructur
 
     # regular associators: scan the span basis and, at small dimension, the
     # basis-triple associator values themselves (regularity does not survive
-    # row reduction, so span rows alone can miss a regular value)
+    # row reduction, so span rows alone can miss a regular value); each side
+    # is solved only where a unity reads it, R_x for a left one, L_x for a right
     assoc_candidates = list(assoc_span.basis.rows)
     if n <= 6:
         seen_vals = set(assoc_candidates)
@@ -870,10 +875,10 @@ def structure_theorem_audit(a: Algebra, unitalize_limit: int = 8) -> HomStructur
                     if any(v) and v not in seen_vals:
                         seen_vals.add(v)
                         assoc_candidates.append(v)
-    right_regular_assoc = any(
+    right_regular_assoc = not uni_l.is_empty and any(
         kernel(a.right_op(x)).is_zero() for x in assoc_candidates
     )
-    left_regular_assoc = any(
+    left_regular_assoc = not uni_r.is_empty and any(
         kernel(a.left_op(x)).is_zero() for x in assoc_candidates
     )
 
@@ -960,8 +965,7 @@ def _audit_one_side(a, side, flags, regular_assoc, checks):
     record(f"split_{side}", acs.split_ok)
     record(
         f"split_{side}_equality_iff_trivial_annihilator",
-        (acs.ac_unit == acs.ac)
-        == sub.annihilator(a, Subspace.full(a.field, a.dim), side).is_zero(),
+        (acs.ac_unit == acs.ac) == acs.ann.is_zero(),
     )
     record(f"hu_n_{side}_in_ac_unit", acs.ac_unit.contains_subspace(hu_side))
 
@@ -1021,12 +1025,9 @@ def _audit_one_side(a, side, flags, regular_assoc, checks):
         second = vec_add(a.field, uni.particular, uni.direction.basis.rows[0])
         op = a.right_op(second) if side == "left" else a.left_op(second)
         image2 = acs.ac.image_under(op)
-        fixed2 = meet(
-            acs.ac, kernel(op.sub(Matrix.identity(a.field, a.dim)))
-        )
         record(
             f"ac_unit_{side}_second_unity_consistent",
-            image2 == fixed2 and image2.dim == twist_space(a).dim,
+            image2 == _fixed_part(acs.ac, op) and image2.dim == twist_space(a).dim,
         )
 
     associative = flags["associative"]

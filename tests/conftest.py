@@ -19,7 +19,6 @@ MEMOIZED = (
     homstruct.twist_space,
     homstruct._op_family,
     homstruct.hu_t,
-    homstruct._commuting_space,
     homstruct.ac_l_subspace,
     homstruct.ac_r_subspace,
     homstruct.hu_n,

@@ -41,7 +41,7 @@ from homalg.homstruct import (
     structure_theorem_audit,
     twist_space,
 )
-from homalg.linalg import Matrix, Subspace, kernel, meet
+from homalg.linalg import Matrix, Subspace, kernel, meet, vec_add
 from homalg.reports import audit_json, render
 from homalg.subspaces import center, find_unities, span_of
 
@@ -554,16 +554,63 @@ def test_zero_commuting_space_skips_the_twist_solve():
     assert hu_t.cache_info().misses == 0
 
 
-def test_commutative_algebra_solves_its_commuting_space_once():
-    # a commutative algebra equals its opposite, so the right side reuses
-    # the commuting space the left side solved
+def test_commutative_algebra_has_equal_one_sided_multiplier_spaces():
+    # a commutative algebra equals its opposite, so both sides solve the
+    # same identities
     a = random_algebra(GeneratorConfig(seed=7, dim=3, field=QQ, flag="commutative"))
     assert opposite(a) == a
     clear_memo()
-    ac_l_subspace(a)
-    ac_r_subspace(a)
-    info = homstruct._commuting_space.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert ac_l_subspace(a) == ac_r_subspace(a)
+
+
+def test_unital_sides_with_zero_hu_t_build_no_commuting_block(octonions, monkeypatch):
+    # the octonions are unital on both sides and hu_t is zero there, so the
+    # complement rows of hu_t, read first, complete the rank on their own
+    built = []
+    op_family = homstruct._op_family
+
+    def counting(b):
+        block = op_family(b)
+
+        def counted(i, j):
+            built.append((i, j))
+            return block(i, j)
+
+        return counted
+
+    monkeypatch.setattr(homstruct, "_op_family", counting)
+    clear_memo()
+    assert hu_t(octonions, "left").is_zero() and hu_t(octonions, "right").is_zero()
+    assert ac_l_subspace(octonions).is_zero()
+    assert ac_r_subspace(octonions).is_zero()
+    assert built == []
+
+
+def _unity_operators(a, side):
+    """The unity's operator on ``side`` (R_u for a left unity, L_u for a
+    right one), plus a second unity's where the unity set is not a point."""
+    uni = find_unities(a, side)
+    if uni.is_empty:
+        return []
+    op = a.right_op if side == "left" else a.left_op
+    units = [uni.particular]
+    if uni.direction.dim:
+        units.append(vec_add(a.field, uni.particular, uni.direction.basis.rows[0]))
+    return [op(u) for u in units]
+
+
+def test_fixed_part_matches_meet_with_eigenspace():
+    counts = []
+    for _, a in builtin_corpus() + generated_algebras(40):
+        ident = Matrix.identity(a.field, a.dim)
+        for side, ac in (("left", ac_l_subspace(a)), ("right", ac_r_subspace(a))):
+            ops = _unity_operators(a, side)
+            for op in ops:
+                reference = meet(ac, kernel(op.sub(ident)))
+                assert homstruct._fixed_part(ac, op) == reference
+            counts.append(len(ops))
+    # 37 unital sides, two of them (the projection algebras) with a second unity
+    assert (counts.count(1), counts.count(2)) == (35, 2)
 
 
 def _memo_calls(a):

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import LEIB2, fpalg, left_only_leibniz, qalg
 from homalg.algebra import Algebra, HomAlgebra
+from homalg.campaign import builtin_corpus
 from homalg.constructions import GeneratorConfig, random_algebra
 from homalg.errors import (
     DimensionMismatch,
@@ -271,6 +272,40 @@ def test_crossed_same_side_forces_zero_twist():
             }
             if "left_leibniz_left_unity_zero_twist" in impl:
                 assert impl["left_leibniz_left_unity_zero_twist"]
+
+
+ALL_FOUR = [
+    "right_leibniz_left_unity_twisted_unity_right_annihilates",
+    "left_leibniz_right_unity_twisted_unity_left_annihilates",
+    "right_leibniz_right_unity_zero_twist",
+    "left_leibniz_left_unity_zero_twist",
+]
+LEFT_UNITAL_ONLY = [ALL_FOUR[0], ALL_FOUR[3]]
+
+
+@pytest.mark.parametrize(
+    "name,fired,right_unital",
+    [
+        ("quaternions", ALL_FOUR, True),
+        ("poly_unital_deg4", ALL_FOUR, True),
+        ("projection2", LEFT_UNITAL_ONLY, False),
+        ("projection3_f2", LEFT_UNITAL_ONLY, False),
+    ],
+)
+def test_crossed_zero_twist_fires_the_implications(name, fired, right_unital):
+    # the zero twist is hom-associative and hom-Leibniz on both sides of any
+    # bracket, so every implication whose unity exists fires, and holds
+    a = dict(builtin_corpus())[f"builtin/{name}"]
+    rep = crossed_unitality_check(HomAlgebra(a, Matrix.zero(a.field, a.dim, a.dim)))
+    assert [i["name"] for i in rep["implications"]] == fired
+    assert all(i["holds"] for i in rep["implications"])
+    assert rep["hypotheses"] == {
+        "left_unital": True,
+        "right_unital": right_unital,
+        "left_hom_leibniz": True,
+        "right_hom_leibniz": True,
+    }
+    assert rep["ok"]
 
 
 # -- hom-Lie ------------------------------------------------------------------------------

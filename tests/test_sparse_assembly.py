@@ -3,7 +3,7 @@
 Every operator and constraint row is built from ``Algebra.terms``; these
 tests recompute the same objects the dense way, from ``a.tensor`` in basis
 order, and require equal results: the products and multiplication operators
-entry by entry, and the twist space, the commuting spaces and ``hu_t`` as
+entry by entry, and the twist space, ``hu_t`` and the multiplier spaces as
 canonical subspaces.
 """
 
@@ -241,10 +241,13 @@ def test_hom_associativity_witness_matches_dense_scan():
 def _assert_matches_dense(a):
     twist = dense_twist_space(a)
     assert homstruct.twist_space(a).space == twist
-    assert homstruct._commuting_space(a) == dense_commuting_space(a)
-    assert homstruct._commuting_space(opposite(a)) == dense_commuting_space(opposite(a))
-    for side in ("left", "right"):
-        assert homstruct.hu_t(a, side) == dense_hu_t(a, side, twist)
+    for side, ac, b in (
+        ("left", homstruct.ac_l_subspace(a), a),
+        ("right", homstruct.ac_r_subspace(a), opposite(a)),
+    ):
+        hu = dense_hu_t(a, side, twist)
+        assert homstruct.hu_t(a, side) == hu
+        assert ac == linalg.meet(hu, dense_commuting_space(b))
     return twist
 
 
