@@ -9,6 +9,7 @@ including serialized files).
 from __future__ import annotations
 
 import os
+from itertools import product
 
 from homalg.errors import DimensionMismatch, InvariantViolation
 from homalg.fields import Field, PrimeField
@@ -123,14 +124,15 @@ class Algebra:
 
     @property
     def associators(self):
-        """associators[i][j][k] = (e_i e_j) e_k - e_i (e_j e_k), built once
-        from ``terms``."""
+        """``{(i, j, k): (e_i e_j) e_k - e_i (e_j e_k)}`` over the basis
+        triples whose associator is nonzero, keys in lexicographic order; a
+        missing key is a zero associator.  Built once from ``terms``."""
         if self._associators is None:
             f = self.field
             n = self.dim
             terms = self.terms
-
-            def assoc(i, j, k):
+            table = {}
+            for i, j, k in product(range(n), repeat=3):
                 acc = [f.zero] * n
                 for m, c in terms[i][j]:
                     for q, v in terms[m][k]:
@@ -138,12 +140,9 @@ class Algebra:
                 for m, c in terms[j][k]:
                     for q, v in terms[i][m]:
                         acc[q] = f.sub(acc[q], f.mul(c, v))
-                return tuple(acc)
-
-            self._associators = tuple(
-                tuple(tuple(assoc(i, j, k) for k in range(n)) for j in range(n))
-                for i in range(n)
-            )
+                if any(acc):
+                    table[i, j, k] = tuple(acc)
+            self._associators = table
         return self._associators
 
     def _check_elem(self, x):
@@ -266,12 +265,7 @@ class Algebra:
 
     def associativity_witness(self):
         """Lexicographically first basis triple with nonzero associator."""
-        for i, plane in enumerate(self.associators):
-            for j, line in enumerate(plane):
-                for k, v in enumerate(line):
-                    if not vec_is_zero(v):
-                        return (i, j, k)
-        return None
+        return next(iter(self.associators), None)
 
     def is_associative(self) -> bool:
         return self.associativity_witness() is None

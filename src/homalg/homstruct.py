@@ -10,15 +10,17 @@ rows, and every meet is one stacked solve.  ``ac_l_subspace`` is defined by
 a(xy) = x(ay) and (ax)(yz) = a((xy)z); the first on the pair (xy, z) gives
 a((xy)z) = (xy)(az), so given the first the second says that L_a is a twist:
 the space is one solve over the complement rows of ``hu_t(a, "left")`` and
-the rows of the first identity.  Basis-triple scans read
-``Algebra.associators``.  Right-sided results are solved on the
-algebra itself with ``side="right"``: an algebra and its opposite have the
+the rows of the first identity.  Basis-triple scans read the table of
+nonzero basis associators ``Algebra.associators``, where a missing triple
+is a zero associator.  Right-sided results are solved on the algebra
+itself with ``side="right"``: an algebra and its opposite have the
 same twist space, since (xy)alpha(z) = alpha(x)(yz) on (x, y, z) is the
 opposite's identity on (z, y, x), and R_x is L_x of the opposite, so one
 twist system serves both sides.  The solvers returning a subspace are
 memoized per algebra value in bounded lru caches, so each result must stay
 immutable; nothing returning an Algebra is cached, because Algebra equality
-ignores the basis labels.
+ignores the basis labels.  A unity passed in by a caller is checked by
+membership in the memoized ``find_unities`` set of its side.
 
 Every constraint row is assembled from the sparse product table
 ``Algebra.terms``, never from dense operator products.  The twist rows and
@@ -342,16 +344,6 @@ def ac_two_sided(a: Algebra) -> Subspace:
 # -- reports -------------------------------------------------------------------------
 
 
-def _unity_on_side(a: Algebra, unity, side: str) -> bool:
-    ident = Matrix.identity(a.field, a.dim)
-    ok = True
-    if side in ("left", "two_sided"):
-        ok = ok and a.left_op(unity) == ident
-    if side in ("right", "two_sided"):
-        ok = ok and a.right_op(unity) == ident
-    return ok
-
-
 def multiplicativity_report(h: HomAlgebra, unity, side: str = "left") -> dict:
     """Evaluates the four equivalent conditions for a unital hom-associative
     algebra: twist multiplicative, twist idempotent, twist^2(1) = twist(1),
@@ -360,7 +352,7 @@ def multiplicativity_report(h: HomAlgebra, unity, side: str = "left") -> dict:
     if wit is not None:
         raise PreconditionViolated(f"not hom-associative, witness triple {wit}")
     a = h.base
-    if not _unity_on_side(a, unity, side):
+    if not sub.find_unities(a, side).contains(unity):
         raise PreconditionViolated(f"not a {side} unity: {as_fractions(a.field, unity)}")
     tw = h.twist
     al = tw.apply(unity)
@@ -406,7 +398,7 @@ def relation_tables_check(h: HomAlgebra, unity, side: str = "left") -> dict:
     if wit is not None:
         raise PreconditionViolated(f"not hom-associative, witness triple {wit}")
     a = h.base
-    if not _unity_on_side(a, unity, "left"):
+    if not sub.find_unities(a, "left").contains(unity):
         raise PreconditionViolated(f"not a left unity: {as_fractions(a.field, unity)}")
     f = a.field
     n = a.dim
@@ -420,6 +412,7 @@ def relation_tables_check(h: HomAlgebra, unity, side: str = "left") -> dict:
     mul = a.multiply_unchecked
     terms = a.terms
     assoc = a.associators
+    zero = a.zero()
     cols = sparse_columns(tw)
 
     def alpha(v):
@@ -449,11 +442,12 @@ def relation_tables_check(h: HomAlgebra, unity, side: str = "left") -> dict:
     rows["alpha_unit_commutes"] = mul(one, al) == al == mul(al, one)
     # both sides from the basis associators: (x, y, alpha(z)) is the sum of
     # alpha_{mk} (x, y, e_m), since the associator is linear in z
-    assoc_cols = [
-        [[sparse_entries(v) for v in line] for line in plane] for plane in assoc
-    ]
+    assoc_cols = {
+        (i, j): [sparse_entries(assoc.get((i, j, m), zero)) for m in idx]
+        for i, j in pairs
+    }
     rows["transport"] = all(
-        combine(f, n, assoc_cols[i][j], cols[k]) == alpha(assoc[i][j][k])
+        combine(f, n, assoc_cols[i, j], cols[k]) == alpha(assoc.get((i, j, k), zero))
         for i, j, k in triples
     )
     if kernel(tw).is_zero():
@@ -868,13 +862,9 @@ def structure_theorem_audit(a: Algebra, unitalize_limit: int = 8) -> HomStructur
     # is solved only where a unity reads it, R_x for a left one, L_x for a right
     assoc_candidates = list(assoc_span.basis.rows)
     if n <= 6:
-        seen_vals = set(assoc_candidates)
-        for plane in a.associators:
-            for line in plane:
-                for v in line:
-                    if any(v) and v not in seen_vals:
-                        seen_vals.add(v)
-                        assoc_candidates.append(v)
+        listed = set(assoc_candidates)
+        values = dict.fromkeys(a.associators.values())
+        assoc_candidates += [v for v in values if v not in listed]
     right_regular_assoc = not uni_l.is_empty and any(
         kernel(a.right_op(x)).is_zero() for x in assoc_candidates
     )
@@ -1069,13 +1059,11 @@ def _complement_ray(space: Subspace):
 
 def _flexible_on_basis(a: Algebra) -> bool:
     """Flexibility (x y) x = x (y x), polarized over the basis."""
-    n = a.dim
-    assoc = a.associators
-    for j in range(n):
-        for i in range(n):
-            if not vec_is_zero(assoc[i][j][i]):
-                return False
-            for k in range(i + 1, n):
-                if not vec_is_zero(vec_add(a.field, assoc[i][j][k], assoc[k][j][i])):
-                    return False
+    table = a.associators
+    zero = a.zero()
+    for i, j, k in table:
+        if i == k:
+            return False
+        if not vec_is_zero(vec_add(a.field, table[i, j, k], table.get((k, j, i), zero))):
+            return False
     return True

@@ -615,6 +615,10 @@ class AffineSet:
         return cls(field, ambient_dim, None, None)
 
     def contains(self, v) -> bool:
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatch(
+                f"vector length {len(v)} vs ambient {self.ambient_dim}"
+            )
         if self.is_empty:
             return False
         return self.direction.contains(vec_sub(self.field, v, self.particular))

@@ -3,7 +3,8 @@ spans of products/commutators/associators, unity sets, idempotent search.
 
 Every "for all x in S" condition is imposed on a basis of S only; bilinearity
 or trilinearity of the defining operator makes this exact.  Nuclei and the
-associator span read ``a.associators``.  A one-identity solve is one
+associator span read the nonzero basis associators ``a.associators``, a
+missing triple being a zero associator.  A one-identity solve is one
 ``linalg.nullspace`` over its constraint blocks, each block built only when
 the solve reaches it; the full nucleus and the two-sided annihilator are
 meets of such solves.  The subspace and unity solvers are memoized per
@@ -60,20 +61,22 @@ def nucleus(a: Algebra, slot: str = "full") -> Subspace:
     """Elements associating with all basis pairs in the given slot ("left",
     "middle", "right") or in all three ("full", the meet of the three slot
     nuclei).  Block (s, t) has column c the associator with e_c in the slot
-    and e_s, e_t in the other two; its rows are read from ``a.associators``."""
+    and e_s, e_t in the other two, looked up in ``a.associators`` (zero
+    where the key is missing)."""
     if slot not in ("left", "middle", "right", "full"):
         raise ValueError(f"unknown slot {slot!r}")
     if slot == "full":
         return meet(*(nucleus(a, s) for s in ("left", "middle", "right")))
-    assoc = a.associators
+    get = a.associators.get
+    zero = a.zero()
     n = a.dim
 
     def rows(s, t):
         if slot == "left":
-            return zip(*(assoc[c][s][t] for c in range(n)))
+            return zip(*(get((c, s, t), zero) for c in range(n)))
         if slot == "middle":
-            return zip(*(assoc[s][c][t] for c in range(n)))
-        return zip(*assoc[s][t])
+            return zip(*(get((s, c, t), zero) for c in range(n)))
+        return zip(*(get((s, t, c), zero) for c in range(n)))
 
     blocks = (rows(s, t) for s in range(n) for t in range(n))
     return nullspace(a.field, n, chain.from_iterable(blocks))
@@ -107,7 +110,7 @@ def span_of(a: Algebra, kind: str) -> Subspace:
         p = a.products
         rows = [vec_sub(a.field, p[i][j], p[j][i]) for i in range(n) for j in range(i + 1, n)]
     elif kind == "associators":
-        rows = [v for plane in a.associators for line in plane for v in line]
+        rows = list(dict.fromkeys(a.associators.values()))
     else:
         raise ValueError(f"unknown span kind {kind!r}")
     return Subspace.from_rows(a.field, n, rows)

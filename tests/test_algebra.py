@@ -122,15 +122,19 @@ TENSOR_ALGEBRAS = _tensor_algebras()
 def test_associator_tensor_matches_elementwise(name, a):
     n = a.dim
     basis = a.basis_elements()
-    tensor = a.associators
+    table = a.associators
+    zero = a.zero()
     first = None
     for i, j, k in iter_product(range(n), repeat=3):
         value = a.associator(basis[i], basis[j], basis[k])
-        assert tensor[i][j][k] == value, (name, i, j, k)
+        assert table.get((i, j, k), zero) == value, (name, i, j, k)
         if first is None and not vec_is_zero(value):
             first = (i, j, k)
+    # only nonzero associators are stored, keyed in lexicographic order
+    assert not any(vec_is_zero(v) for v in table.values())
+    assert list(table) == sorted(table)
     assert a.associativity_witness() == first
-    assert a.associators is tensor
+    assert a.associators is table
 
 
 @pytest.mark.parametrize("name,a", TENSOR_ALGEBRAS, ids=[n for n, _ in TENSOR_ALGEBRAS])

@@ -21,6 +21,7 @@ from homalg.constructions import (
     truncated_poly,
 )
 from homalg.errors import (
+    DimensionMismatch,
     HomalgError,
     InternalCheckFailure,
     NotTwoSidedUnital,
@@ -353,6 +354,19 @@ def test_multiplicativity_preconditions(complexes, quaternions):
     good = HomAlgebra(complexes, Matrix.identity(QQ, 2))
     with pytest.raises(PreconditionViolated):
         multiplicativity_report(good, complexes.basis(1), "left")
+
+
+@pytest.mark.parametrize("check", [multiplicativity_report, relation_tables_check])
+def test_unity_checks_reject_caller_errors(check, quaternions):
+    # a caller's mistake is a caller error, never an internal one
+    h = HomAlgebra(quaternions, Matrix.identity(QQ, 4))
+    unity = quaternions.basis(0)
+    with pytest.raises(ValueError, match="unknown side"):
+        check(h, unity, "bogus")
+    with pytest.raises(DimensionMismatch):
+        check(h, unity + (F(5),), "left")
+    with pytest.raises(PreconditionViolated, match="not a left unity"):
+        check(h, quaternions.basis(1), "left")
 
 
 # -- relation tables --------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import LEIB2, fpalg, left_only_leibniz, qalg
 from homalg.algebra import Algebra, HomAlgebra
-from homalg.campaign import builtin_corpus
+from homalg.campaign import builtin_corpus, generated_algebras
 from homalg.constructions import GeneratorConfig, random_algebra
 from homalg.errors import (
     DimensionMismatch,
@@ -257,21 +257,22 @@ def test_crossed_campaign_no_counterexamples():
 
 
 def test_crossed_same_side_forces_zero_twist():
-    # hand instance: left-unital, left hom-Leibniz, hom-associative => twist 0
-    a = qalg([[[1, 0], [0, 1]], [[0, 0], [0, 0]]])  # e0 is a left unity
+    # a twist that is hom-Leibniz on the side of a unity must be zero, and a
+    # twist-space basis map is not: each one fails that side's identity
     from homalg.homstruct import twist_space
+    from homalg.subspaces import find_unities
 
-    for m in twist_space(a).maps:
-        h = HomAlgebra(a, m)
-        if leibniz_check(a, m)[0] is None:
-            rep = crossed_unitality_check(h)
-            assert rep["ok"]
-            impl = {
-                i["name"]: i["holds"]
-                for i in rep["implications"]
-            }
-            if "left_leibniz_left_unity_zero_twist" in impl:
-                assert impl["left_leibniz_left_unity_zero_twist"]
+    hand = ("hand/left_unit", qalg([[[1, 0], [0, 1]], [[0, 0], [0, 0]]]))
+    checked = 0
+    for _, a in [hand, *builtin_corpus(), *generated_algebras(80)]:
+        maps = twist_space(a).maps
+        for index, side in enumerate(("left", "right")):
+            if find_unities(a, side).is_empty:
+                continue
+            for m in maps:
+                assert leibniz_check(a, m)[index] is not None
+                checked += 1
+    assert checked >= 30
 
 
 ALL_FOUR = [

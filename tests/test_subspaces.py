@@ -12,7 +12,11 @@ import pytest
 
 from conftest import fpalg, projection_tensor, qalg
 from homalg.constructions import GeneratorConfig, random_algebra
-from homalg.errors import SearchSpaceTooLarge, UnsupportedDimensionOverQ
+from homalg.errors import (
+    DimensionMismatch,
+    SearchSpaceTooLarge,
+    UnsupportedDimensionOverQ,
+)
 from homalg.fields import GF, QQ
 from homalg.linalg import Subspace, meet
 from homalg.subspaces import (
@@ -135,6 +139,15 @@ def test_projection_unities(proj2):
 def test_nil2_has_no_unities(nil2):
     for side in ("left", "right", "two_sided"):
         assert find_unities(nil2, side).is_empty
+
+
+def test_unity_membership_checks_the_length(quaternions, nil2):
+    unity = quaternions.basis(0)
+    assert find_unities(quaternions, "left").contains(unity)
+    with pytest.raises(DimensionMismatch):
+        find_unities(quaternions, "left").contains(unity + (F(5),))
+    with pytest.raises(DimensionMismatch):
+        find_unities(nil2, "left").contains((F(0),) * 3)
 
 
 def test_left_unity_direction_is_left_annihilator(proj2):
