@@ -9,7 +9,6 @@ including serialized files).
 from __future__ import annotations
 
 import os
-from itertools import product
 
 from homalg.errors import DimensionMismatch, InvariantViolation
 from homalg.fields import Field, PrimeField
@@ -128,21 +127,9 @@ class Algebra:
         triples whose associator is nonzero, keys in lexicographic order; a
         missing key is a zero associator.  Built once from ``terms``."""
         if self._associators is None:
-            f = self.field
-            n = self.dim
-            terms = self.terms
-            table = {}
-            for i, j, k in product(range(n), repeat=3):
-                acc = [f.zero] * n
-                for m, c in terms[i][j]:
-                    for q, v in terms[m][k]:
-                        acc[q] = f.add(acc[q], f.mul(c, v))
-                for m, c in terms[j][k]:
-                    for q, v in terms[i][m]:
-                        acc[q] = f.sub(acc[q], f.mul(c, v))
-                if any(acc):
-                    table[i, j, k] = tuple(acc)
-            self._associators = table
+            self._associators = dict(
+                triple_defects(self.field, self.dim, self.terms, *twisted_ops(self))
+            )
         return self._associators
 
     def _check_elem(self, x):
@@ -304,6 +291,33 @@ def twisted_ops(a: Algebra, twist: Matrix | None = None):
     )
 
 
+def triple_defects(field: Field, n: int, prods, left, right):
+    """Yield ``((i, j, k), u - v)`` for the basis triples, in lexicographic
+    order, where u - v is nonzero.  u sums c * right[k][m] over the ``(m, c)``
+    of prods[i][j], v sums c * left[i][m] over those of prods[j][k]; with the
+    ``twisted_ops`` tables of t and ``prods = terms``, u - v is
+    (e_i e_j) t(e_k) - t(e_i) (e_j e_k).  A triple whose two products are
+    empty is never visited (u = v = 0).  One sparse accumulator measured
+    faster than two ``combine`` calls and a ``vec_sub``."""
+    every = range(n)
+    nonempty = [[k for k in every if prods[j][k]] for j in every]
+    for i in every:
+        for j in every:
+            pij = prods[i][j]
+            for k in every if pij else nonempty[j]:
+                acc = [field.zero] * n
+                cols = right[k]
+                for m, c in pij:
+                    for q, v in cols[m]:
+                        acc[q] = field.add(acc[q], field.mul(c, v))
+                cols = left[i]
+                for m, c in prods[j][k]:
+                    for q, v in cols[m]:
+                        acc[q] = field.sub(acc[q], field.mul(c, v))
+                if any(acc):
+                    yield (i, j, k), tuple(acc)
+
+
 class HomAlgebra:
     """An algebra with a twisting linear map."""
 
@@ -311,6 +325,9 @@ class HomAlgebra:
 
     def __init__(self, base: Algebra, twist: Matrix):
         check_twist(base, twist)
+        if isinstance(base.field, PrimeField):  # residues: equal maps compare equal
+            p = base.field.p
+            twist = Matrix(base.field, [[v % p for v in row] for row in twist.rows])
         self.base = base
         self.twist = twist
         self._hash = None
@@ -340,23 +357,12 @@ class HomAlgebra:
         )
 
     def hom_associativity_witness(self):
-        """Lexicographically first basis triple with nonzero hom-associator.
-        (e_i e_j) alpha(e_k) sums the columns e_m alpha(e_k) of R_{alpha(e_k)}
-        over the nonzero terms of e_i e_j, and alpha(e_i) (e_j e_k) the columns
-        of L_{alpha(e_i)} over those of e_j e_k."""
+        """Lexicographically first basis triple with nonzero hom-associator:
+        the first key of ``triple_defects`` over ``terms`` and the twist's
+        ``twisted_ops`` tables."""
         a = self.base
-        f = a.field
-        n = a.dim
-        terms = a.terms
-        left, right = twisted_ops(a, self.twist)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if combine(f, n, right[k], terms[i][j]) != combine(
-                        f, n, left[i], terms[j][k]
-                    ):
-                        return (i, j, k)
-        return None
+        defects = triple_defects(a.field, a.dim, a.terms, *twisted_ops(a, self.twist))
+        return next((t for t, _ in defects), None)
 
     def is_hom_associative(self) -> bool:
         return self.hom_associativity_witness() is None

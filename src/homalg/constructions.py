@@ -7,10 +7,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
 
 from homalg.algebra import Algebra, HomAlgebra, InvolutiveAlgebra, check_dim, max_dim
-from homalg.algebra import check_twist, twisted_ops
+from homalg.algebra import check_twist, triple_defects, twisted_ops
 from homalg.errors import (
     DimensionMismatch,
     InternalCheckFailure,
@@ -232,10 +231,10 @@ def yau_criterion(a: Algebra, alpha: Matrix):
     decided by the closed condition alpha(alpha(xy) alpha(z) - alpha(x)
     alpha(yz)) = 0 on basis triples, the first failing triple in
     lexicographic order as the witness.  The table alpha(e_i e_j) is built
-    once (n^2 applications of alpha, through its sparse columns), and
-    u alpha(e_k) and alpha(e_i) u are read from the ``twisted_ops`` tables
-    of R_{alpha(e_k)} and L_{alpha(e_i)}.  Cross-checked against the direct
-    hom-associativity scan of the twisted algebra."""
+    once (n^2 applications of alpha, through its sparse columns) and scanned
+    by ``triple_defects`` with the ``twisted_ops`` tables of alpha; the
+    witness is the first defect that alpha does not kill.  Cross-checked
+    against the direct hom-associativity scan of the twisted algebra."""
     left, right = twisted_ops(a, alpha)
     f = a.field
     n = a.dim
@@ -245,16 +244,10 @@ def yau_criterion(a: Algebra, alpha: Matrix):
         [sparse_entries(combine(f, n, cols, terms[i][j])) for j in range(n)]
         for i in range(n)
     ]
-
-    def fails(i, j, k):
-        lhs = combine(f, n, right[k], image[i][j])
-        rhs = combine(f, n, left[i], image[j][k])
-        return lhs != rhs and any(
-            combine(f, n, cols, sparse_entries(vec_sub(f, lhs, rhs)))
-        )
-
-    triples = product(range(n), repeat=3)  # lexicographic
-    witness = next((t for t in triples if fails(*t)), None)
+    defects = triple_defects(f, n, image, left, right)
+    witness = next(
+        (t for t, d in defects if any(combine(f, n, cols, sparse_entries(d)))), None
+    )
     holds = witness is None
     if holds != yau_twist(a, alpha).is_hom_associative():
         raise InternalCheckFailure(

@@ -12,11 +12,13 @@ a((xy)z) = (xy)(az), so given the first the second says that L_a is a twist:
 the space is one solve over the complement rows of ``hu_t(a, "left")`` and
 the rows of the first identity.  Basis-triple scans read the table of
 nonzero basis associators ``Algebra.associators``, where a missing triple
-is a zero associator.  Right-sided results are solved on the algebra
-itself with ``side="right"``: an algebra and its opposite have the
-same twist space, since (xy)alpha(z) = alpha(x)(yz) on (x, y, z) is the
-opposite's identity on (z, y, x), and R_x is L_x of the opposite, so one
-twist system serves both sides.  The solvers returning a subspace are
+is a zero associator.  That table, the hom-associativity witness and the
+relation row ``m2`` all come from ``algebra.triple_defects``, one scan that
+skips a triple whose two products are zero.  Right-sided results are solved
+on the algebra itself with ``side="right"``: an algebra and its opposite
+have the same twist space, since (xy)alpha(z) = alpha(x)(yz) on (x, y, z)
+is the opposite's identity on (z, y, x), and R_x is L_x of the opposite, so
+one twist system serves both sides.  The solvers returning a subspace are
 memoized per algebra value in bounded lru caches, so each result must stay
 immutable; nothing returning an Algebra is cached, because Algebra equality
 ignores the basis labels.  A unity passed in by a caller is checked by
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import chain, product
 
-from homalg.algebra import Algebra, HomAlgebra, max_dim, twisted_ops
+from homalg.algebra import Algebra, HomAlgebra, max_dim, triple_defects, twisted_ops
 from homalg.algebra import is_idempotent_elem, is_idempotent_map
 from homalg.constructions import ac_unitalized_by_eigenspaces, opposite, opposite_hom
 from homalg.errors import (
@@ -408,7 +410,6 @@ def relation_tables_check(h: HomAlgebra, unity, side: str = "left") -> dict:
     basis = a.basis_elements()
     idx = range(n)
     pairs = list(product(idx, repeat=2))
-    triples = list(product(idx, repeat=3))
     mul = a.multiply_unchecked
     terms = a.terms
     assoc = a.associators
@@ -448,7 +449,7 @@ def relation_tables_check(h: HomAlgebra, unity, side: str = "left") -> dict:
     }
     rows["transport"] = all(
         combine(f, n, assoc_cols[i, j], cols[k]) == alpha(assoc.get((i, j, k), zero))
-        for i, j, k in triples
+        for i, j, k in product(idx, repeat=3)
     )
     if kernel(tw).is_zero():
         # injective twists preserve the right nucleus both ways
@@ -467,10 +468,8 @@ def relation_tables_check(h: HomAlgebra, unity, side: str = "left") -> dict:
     # as the sum of aa (e_m e_k) over the terms of e_i e_j
     ax_cols = [a.op_columns(v) for v in ax]
     aprod_cols = [[sparse_entries(aprods[m][k]) for m in idx] for k in idx]
-    rows["m2_product_reassociates"] = all(
-        combine(f, n, ax_cols[i], terms[j][k])
-        == combine(f, n, aprod_cols[k], terms[i][j])
-        for i, j, k in triples
+    rows["m2_product_reassociates"] = (
+        next(triple_defects(f, n, terms, ax_cols, aprod_cols), None) is None
     )
     aa1 = mul(aa, one)
     rows["m3_unit_image_multiplies_alike"] = all(

@@ -15,6 +15,7 @@ from homalg.algebra import (
     InvolutiveAlgebra,
     is_idempotent_elem,
     is_idempotent_map,
+    triple_defects,
     twisted_ops,
 )
 from homalg.campaign import builtin_corpus
@@ -31,11 +32,13 @@ from homalg.errors import DimensionMismatch, FieldMismatch, InvariantViolation
 from homalg.fields import GF, QQ
 from homalg.linalg import (
     Matrix,
+    combine,
     sparse_columns,
     sparse_entries,
     vec_add,
     vec_is_zero,
     vec_scale,
+    vec_sub,
 )
 
 
@@ -137,6 +140,79 @@ def test_associator_tensor_matches_elementwise(name, a):
     assert a.associators is table
 
 
+def reference_defects(f, n, prods, left, right):
+    """Every basis triple, u and v from two ``combine`` calls compared: the
+    defects ``triple_defects`` must yield, in the same order."""
+    out = []
+    for i, j, k in iter_product(range(n), repeat=3):
+        u = combine(f, n, right[k], prods[i][j])
+        v = combine(f, n, left[i], prods[j][k])
+        if u != v:
+            out.append(((i, j, k), vec_sub(f, u, v)))
+    return out
+
+
+def one_product(n):
+    """The algebra of dimension n whose only nonzero product is e_0 e_0 = e_1."""
+    tensor = [[[0] * n for _ in range(n)] for _ in range(n)]
+    tensor[0][0][1] = 1
+    return qalg(tensor)
+
+
+@pytest.mark.parametrize("name,a", TENSOR_ALGEBRAS, ids=[n for n, _ in TENSOR_ALGEBRAS])
+def test_triple_defects_is_the_full_scan(name, a):
+    n = a.dim
+    twists = [None] + [random_linear_map(a.field, n, seed) for seed in range(2)]
+    for t in twists:
+        left, right = twisted_ops(a, t)
+        want = reference_defects(a.field, n, a.terms, left, right)
+        assert list(triple_defects(a.field, n, a.terms, left, right)) == want, name
+
+
+def test_triple_defects_with_zero_and_elementary_twists():
+    # sparse products whose twisted tables are empty or one column wide;
+    # every map is a twist of the one-product algebra, not of t^1..t^5
+    twists = [Matrix.zero(QQ, 5, 5)]
+    for r, c in iter_product(range(5), repeat=2):
+        rows = [[0] * 5 for _ in range(5)]
+        rows[r][c] = F(1)
+        twists.append(Matrix(QQ, rows))
+    for a, twisted in ((one_product(5), False), (truncated_poly(QQ, 5), True)):
+        found = 0
+        for t in twists:
+            left, right = twisted_ops(a, t)
+            want = reference_defects(QQ, 5, a.terms, left, right)
+            assert list(triple_defects(QQ, 5, a.terms, left, right)) == want, t.rows
+            found += len(want)
+        assert bool(found) == twisted
+
+
+class CountedTable(list):
+    """A table that counts its reads."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("seed", [None, 0], ids=["identity", "random_twist"])
+def test_triple_defects_reads_only_nonzero_products_at_the_cap(seed):
+    # at n = 32 only the 2n - 1 triples (0, 0, k) and (i, 0, 0) have a
+    # nonzero product, and each visited triple reads one table per side;
+    # a scan without the skip reads 2 n^3 = 65,536.  Every map is a twist.
+    n = 32
+    a = one_product(n)
+    t = None if seed is None else random_linear_map(QQ, n, seed)
+    left, right = (CountedTable(table) for table in twisted_ops(a, t))
+    defects = list(triple_defects(QQ, n, a.terms, left, right))
+    assert left.reads + right.reads <= 2 * (2 * n - 1)
+    assert defects == []
+
+
 @pytest.mark.parametrize("name,a", TENSOR_ALGEBRAS, ids=[n for n, _ in TENSOR_ALGEBRAS])
 def test_op_columns_are_the_sparse_operator_columns(name, a):
     # the n^2 basis products include multi-term and non-unit elements
@@ -212,6 +288,11 @@ def test_prime_field_entries_are_reduced():
     b, c = Algebra(f3, [[[-1]]]), Algebra(f3, [[[2]]])
     assert b == c
     assert hash(b) == hash(c)
+    # a twist is held as residues too: -1 and 2 are one map
+    g, h = HomAlgebra(b, Matrix(f3, [[-1]])), HomAlgebra(b, Matrix(f3, [[2]]))
+    assert g.twist == h.twist == Matrix(f3, [[2]])
+    assert g == h
+    assert hash(g) == hash(h)
 
 
 @pytest.mark.parametrize("name,a", CORPUS, ids=[n for n, _ in CORPUS])

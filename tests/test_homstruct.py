@@ -12,7 +12,12 @@ import homalg
 from conftest import MEMOIZED, NIL2, clear_memo, fpalg, projection_tensor, qalg
 from homalg import homstruct, subspaces
 from homalg.algebra import Algebra, HomAlgebra
-from homalg.campaign import algebra_checks, builtin_corpus, generated_algebras
+from homalg.campaign import (
+    _twist_instances,
+    algebra_checks,
+    builtin_corpus,
+    generated_algebras,
+)
 from homalg.constructions import (
     GeneratorConfig,
     opposite,
@@ -42,6 +47,7 @@ from homalg.homstruct import (
     structure_theorem_audit,
     twist_space,
 )
+from homalg.leibniz import crossed_unitality_check
 from homalg.linalg import Matrix, Subspace, kernel, meet, vec_add
 from homalg.reports import audit_json, render
 from homalg.subspaces import center, find_unities, span_of
@@ -367,6 +373,38 @@ def test_unity_checks_reject_caller_errors(check, quaternions):
         check(h, unity + (F(5),), "left")
     with pytest.raises(PreconditionViolated, match="not a left unity"):
         check(h, quaternions.basis(1), "left")
+
+
+def _raw(m):
+    """``m`` over F_p written with the raw representatives v - p."""
+    p = m.field.p
+    return Matrix(m.field, [[v - p for v in row] for row in m.rows])
+
+
+def test_raw_and_residue_twists_give_equal_reports():
+    # over F_p a twist written with raw values is the same map as its
+    # residues, so every report on it must be the same
+    pairs = 0
+    for name, a in builtin_corpus() + generated_algebras(40):
+        if a.field == QQ:
+            continue
+        sides = [(s, find_unities(a, s)) for s in ("left", "right")]
+        for m in _twist_instances(a, twist_space(a)):
+            for side, unities in sides:
+                if unities.is_empty:
+                    continue
+                pairs += 1
+                for check in (multiplicativity_report, relation_tables_check):
+                    raw = _outcome(check, (HomAlgebra(a, _raw(m)), unities.particular, side))
+                    want = _outcome(check, (HomAlgebra(a, m), unities.particular, side))
+                    assert raw == want, (name, side, check.__name__)
+    assert pairs == 13
+    a = dict(builtin_corpus())["builtin/projection3_f2"]
+    zero = Matrix.zero(a.field, 3, 3)
+    written = Matrix(a.field, [[2, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert crossed_unitality_check(HomAlgebra(a, written)) == crossed_unitality_check(
+        HomAlgebra(a, zero)
+    )
 
 
 # -- relation tables --------------------------------------------------------------------

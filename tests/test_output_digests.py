@@ -1,8 +1,10 @@
 """Command-line output is byte-identical to its pinned digests.
 
 ``output_digests.json`` holds the SHA-256 of the algebra files that
-``cayley-dickson`` emits at levels 2 and 3 over Q, GF(65521) and GF(2); the
-exit code and the stdout SHA-256 of ``analyze``, ``twist-space``,
+``cayley-dickson`` emits at levels 2 and 3 over Q, GF(65521) and GF(2), and
+that ``poly`` emits for ``--degree 8`` and ``--degree 6 --with-constants``
+(sparse products, where the basis-triple scans skip most triples); the exit
+code and the stdout SHA-256 of ``analyze``, ``twist-space``,
 ``ac --side left|right|two``, ``leibniz`` and ``leibniz --left-mult 1`` on
 each of those files; and the same of ``campaign --seeds 200``.  A change
 that alters output on purpose regenerates the file with
@@ -45,17 +47,23 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+POLY_FILES = (
+    ("poly8_Q.json", ["poly", "--degree", "8"]),
+    ("poly6c_Q.json", ["poly", "--degree", "6", "--with-constants"]),
+)
+
+
 def _files():
-    """``(name, argv)`` of every emitted Cayley-Dickson file."""
+    """``(name, argv)`` of every emitted file."""
     return [
         (f"cd{level}_{tag}.json", ["cayley-dickson", "--levels", str(level), "--field", field])
         for level in LEVELS
         for field, tag in FIELDS.items()
-    ]
+    ] + list(POLY_FILES)
 
 
 def _emit_files(directory: Path) -> dict:
-    """Emit every Cayley-Dickson file into ``directory``; name -> SHA-256."""
+    """Emit every file of ``_files()`` into ``directory``; name -> SHA-256."""
     digests = {}
     for name, argv in _files():
         _run(argv + ["-o", str(directory / name)])
@@ -92,7 +100,7 @@ def pinned():
 
 @pytest.fixture(scope="module")
 def emitted(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("cayley_dickson")
+    directory = tmp_path_factory.mktemp("emitted")
     return directory, _emit_files(directory)
 
 
