@@ -199,6 +199,8 @@ class Algebra:
         # table[i][j]: the terms of e_i e_j (left) or of e_j e_i (right)
         table = self.terms if side == "left" else tuple(zip(*self.terms))
         xs = [(i, xi) for i, xi in enumerate(x) if xi]
+        if not xs:
+            return [()] * n  # a zero image: no accumulator to build
         cols = []
         for j in range(n):
             acc = [f.zero] * n

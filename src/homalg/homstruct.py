@@ -4,7 +4,8 @@ verification machinery.
 
 Everything here reduces to exact kernel computations, one system per
 defining identity; ``hu_t`` and the multiplier spaces reuse solved
-subspaces instead.  ``hu_t`` is the preimage of the twist space under
+subspaces instead, and a test that an operator is injective is one modular
+rank pass (``linalg.is_injective``).  ``hu_t`` is the preimage of the twist space under
 x -> L_x (or R_x), solved in n unknowns against the twist space's complement
 rows, and every meet is one stacked solve.  ``ac_l_subspace`` is defined by
 a(xy) = x(ay) and (ax)(yz) = a((xy)z); the first on the pair (xy, z) gives
@@ -60,7 +61,7 @@ from homalg.linalg import (
     as_fractions,
     combine,
     is_direct_sum,
-    kernel,
+    is_injective,
     meet,
     nullspace,
     solve_affine,
@@ -375,7 +376,7 @@ def multiplicativity_report(h: HomAlgebra, unity, side: str = "left") -> dict:
     if report["all_hold"]:
         # a multiplicative unital twist that is injective, or whose image
         # contains the unity, forces plain associativity
-        injective = kernel(tw).is_zero()
+        injective = is_injective(tw)
         unity_in_image = not solve_affine(tw, tuple(unity)).is_empty
         report["forces_associativity"] = injective or unity_in_image
         if report["forces_associativity"] and not a.is_associative():
@@ -451,7 +452,7 @@ def relation_tables_check(h: HomAlgebra, unity, side: str = "left") -> dict:
         combine(f, n, assoc_cols[i, j], cols[k]) == alpha(assoc.get((i, j, k), zero))
         for i, j, k in product(idx, repeat=3)
     )
-    if kernel(tw).is_zero():
+    if is_injective(tw):
         # injective twists preserve the right nucleus both ways
         nr = sub.nucleus(a, "right")
         twt = tw.transpose()  # row w^T tw is twt applied to w
@@ -679,7 +680,10 @@ class HomStructureReport:
 def domain_certificate(a: Algebra):
     """('domain (sampled)', None) when every tested nonzero element has
     injective multiplication operators on both sides; exact witness otherwise.
-    Tested: all basis vectors plus seeded random nonzero combinations."""
+    Tested: all basis vectors plus seeded random nonzero combinations.  Each
+    operator is decided by ``linalg.is_injective``, one modular rank pass
+    that stops at full rank; only over Q, and only when the certificate
+    prime divides a minor, does a kernel solve decide instead."""
     n = a.dim
     candidates = [a.basis(i) for i in range(n)]
     rng = random.Random(_DOMAIN_SAMPLE_SEED)
@@ -689,7 +693,7 @@ def domain_certificate(a: Algebra):
         if not vec_is_zero(v):
             candidates.append(v)
     for x in candidates:
-        if not kernel(a.left_op(x)).is_zero() or not kernel(a.right_op(x)).is_zero():
+        if not is_injective(a.left_op(x)) or not is_injective(a.right_op(x)):
             return "not a domain (witness)", x
     return "domain (sampled)", None
 
@@ -865,10 +869,10 @@ def structure_theorem_audit(a: Algebra, unitalize_limit: int = 8) -> HomStructur
         values = dict.fromkeys(a.associators.values())
         assoc_candidates += [v for v in values if v not in listed]
     right_regular_assoc = not uni_l.is_empty and any(
-        kernel(a.right_op(x)).is_zero() for x in assoc_candidates
+        is_injective(a.right_op(x)) for x in assoc_candidates
     )
     left_regular_assoc = not uni_r.is_empty and any(
-        kernel(a.left_op(x)).is_zero() for x in assoc_candidates
+        is_injective(a.left_op(x)) for x in assoc_candidates
     )
 
     ac_left = ac_right = None
@@ -898,7 +902,7 @@ def structure_theorem_audit(a: Algebra, unitalize_limit: int = 8) -> HomStructur
         if not associative:
             record(
                 "no_injective_twist_on_unital_nonassociative",
-                all(not kernel(m).is_zero() for m in ts.maps),
+                not any(is_injective(m) for m in ts.maps),
             )
             if right_regular_assoc or left_regular_assoc:
                 record("regular_associator_kills_ac", ac.is_zero())

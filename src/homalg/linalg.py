@@ -10,11 +10,13 @@ rational and a ``Fraction`` otherwise, over F_p an ``int`` residue; see
 ``fields`` for the scalar conventions.  Q rows are eliminated as integer rows,
 and the canonical RREF turns back into rationals only where a pivot does not
 divide an entry.  ``NullspaceSolver`` is the one elimination driver: every
-RREF, span and nullspace here is read off one, and only it calls ``kernels``.
-``nullspace`` is the one loop that feeds it a constraint family: rows are
-drawn from an iterable until full rank, so a lazy family never builds the
-rows past that point.  Caller input (``rref``, ``solve_affine``,
-``Subspace.from_rows``) is read whole and checked row by row instead.
+RREF, span and nullspace here is read off one.  ``nullspace`` is the one
+loop that feeds it a constraint family: rows are drawn from an iterable until
+full rank, or until the rank leaves room only for a kernel part the caller
+already knows, so a lazy family never builds the rows past that point.
+Caller input (``rref``, ``solve_affine``, ``Subspace.from_rows``) is read
+whole and checked row by row instead.  ``is_injective`` is the one other
+caller of ``kernels``: a yes/no rank question needs only the modular echelon.
 """
 
 from __future__ import annotations
@@ -306,6 +308,12 @@ class NullspaceSolver:
         self._pool: list = []  # Q only: unique integer rows (tuples) for the exact pass
         self.full_rank = ncols == 0
 
+    @property
+    def rank(self) -> int:
+        """The rank of the rows offered so far, mod p: over F_p their rank,
+        over Q a lower bound on it."""
+        return len(self._echelon)
+
     def add_dense(self, row):
         if self.full_rank or not any(row):
             return
@@ -395,16 +403,50 @@ def _solver_for(field: Field, ncols: int, rows) -> NullspaceSolver:
     return solver
 
 
-def nullspace(field: Field, ncols: int, rows) -> "Subspace":
+def nullspace(field: Field, ncols: int, rows, known: "Subspace | None" = None) -> "Subspace":
     """The right nullspace of ``rows``, dense rows of length ``ncols`` drawn
     from an iterable into one solver until it reaches full rank: a lazy
-    iterable never builds the rows past that point."""
+    iterable never builds the rows past that point.
+
+    ``known``, when given, is a subspace the caller has already checked lies
+    in the nullspace.  The draw then stops once the rank reaches
+    ``ncols - known.dim`` and returns ``known``: the rank mod p is at most
+    the rank over the field, which is at most ``ncols - known.dim``, so the
+    nullspace is exactly ``known``.  If the rows run out first, the solve
+    reads the nullspace off as usual."""
+    if known is not None and known.ambient_dim != ncols:
+        raise DimensionMismatch(f"known ambient {known.ambient_dim} vs {ncols}")
+    stop = ncols - known.dim if known is not None else ncols
     solver = NullspaceSolver(field, ncols)
-    for row in rows:
-        solver.add_dense(row)
-        if solver.full_rank:
-            break
+    if solver.rank < stop:
+        for row in rows:
+            solver.add_dense(row)
+            if solver.rank == stop:
+                break
+    if known is not None and solver.rank == stop:
+        return known
     return solver.solve()
+
+
+def is_injective(m: Matrix) -> bool:
+    """Whether ``m`` has a zero right nullspace, from one rank pass: each row
+    goes straight into a modular echelon (``kernels.echelon_add``), over Q
+    cleared of denominators and taken mod ``_CERT_PRIME``, over F_p mod p,
+    and the pass returns True on the row that makes the rank full.  Over F_p
+    a rank that stays short is exact; over Q it only means the certificate
+    prime may divide a minor, so ``kernel(m)`` decides."""
+    field = m.field
+    n = m.ncols
+    rational = field == QQ
+    p = _CERT_PRIME if rational else field.p
+    echelon: dict = {}
+    for row in m.rows:
+        if rational:
+            row = _q_row_to_int(row)
+        residues = {c: v % p for c, v in enumerate(row) if v % p}
+        if residues and kernels.echelon_add(echelon, residues, p) and len(echelon) == n:
+            return True
+    return n == 0 or (rational and kernel(m).is_zero())
 
 
 # -- public operations ---------------------------------------------------------

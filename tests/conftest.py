@@ -1,5 +1,6 @@
 """Shared fixtures: pinned small algebras and the doubling chain."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -30,6 +31,21 @@ MEMOIZED = (
 def clear_memo():
     for fn in MEMOIZED:
         fn.cache_clear()
+
+
+def permuted(a, seed):
+    """The same algebra on the basis e'_i = e_perm[i]: the identity for seed
+    0, otherwise a shuffle fixed by the seed (the shuffle of the benchmark's
+    sedenion workloads)."""
+    n = a.dim
+    perm = list(range(n))
+    if seed:
+        random.Random(f"{seed}/").shuffle(perm)
+    t = a.tensor
+    return type(a)(
+        a.field,
+        [[[t[perm[i]][perm[j]][perm[k]] for k in range(n)] for j in range(n)] for i in range(n)],
+    )
 
 
 def q(v):

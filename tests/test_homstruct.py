@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product as iter_product
@@ -9,7 +10,7 @@ from itertools import product as iter_product
 import pytest
 
 import homalg
-from conftest import MEMOIZED, NIL2, clear_memo, fpalg, projection_tensor, qalg
+from conftest import MEMOIZED, NIL2, clear_memo, fpalg, permuted, projection_tensor, qalg
 from homalg import homstruct, subspaces
 from homalg.algebra import Algebra, HomAlgebra
 from homalg.campaign import (
@@ -20,6 +21,7 @@ from homalg.campaign import (
 )
 from homalg.constructions import (
     GeneratorConfig,
+    cayley_dickson_chain,
     opposite,
     random_algebra,
     random_linear_map,
@@ -40,6 +42,7 @@ from homalg.homstruct import (
     ac_r_subspace,
     ac_two_sided,
     bijection_report,
+    domain_certificate,
     hu_n,
     hu_t,
     multiplicativity_report,
@@ -481,6 +484,43 @@ def test_relation_tables_transport(proj2):
 
 
 # -- audit --------------------------------------------------------------------------------
+
+
+def _reference_domain_certificate(a):
+    """domain_certificate's candidates, each operator decided by a full
+    kernel solve."""
+    n = a.dim
+    candidates = [a.basis(i) for i in range(n)]
+    rng = random.Random(homstruct._DOMAIN_SAMPLE_SEED)
+    for _ in range(homstruct._DOMAIN_SAMPLES):
+        v = tuple(a.field.from_int(rng.choice([-2, -1, 1, 2, 0])) for _ in range(n))
+        if any(v):
+            candidates.append(v)
+    for x in candidates:
+        if not kernel(a.left_op(x)).is_zero() or not kernel(a.right_op(x)).is_zero():
+            return "not a domain (witness)", x
+    return "domain (sampled)", None
+
+
+def test_domain_certificate_matches_the_kernel_reference(cd_chain):
+    sedenions = cd_chain[4].base
+    fp_sedenions = cayley_dickson_chain(4, field=GF(65521))[4].base
+    octonions_f3 = cayley_dickson_chain(3, field=GF(3))[3].base
+    corpus = [a for _, a in builtin_corpus() + generated_algebras(40)]
+    corpus += [cd_chain[3].base, octonions_f3]
+    # seed 520073127 permutes the sedenion basis so that a sample hits a
+    # zero divisor; the canonical basis (seed 0) finds none
+    for seed in (0, 1, 2, 3, 520073127):
+        corpus += [permuted(sedenions, seed), permuted(fp_sedenions, seed)]
+    statuses = set()
+    for a in corpus:
+        got = domain_certificate(a)
+        assert got == _reference_domain_certificate(a), a
+        statuses.add(got[0])
+    assert statuses == {"domain (sampled)", "not a domain (witness)"}
+    assert domain_certificate(sedenions)[1] is None
+    assert domain_certificate(permuted(sedenions, 520073127))[1] is not None
+    assert domain_certificate(octonions_f3)[1] is not None
 
 
 def test_audit_octonions_no_hom_structures(octonions):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import clear_memo
-from homalg import kernels
+from homalg import kernels, linalg
 from homalg.campaign import builtin_corpus, run_campaign
 from homalg.errors import DimensionMismatch, FieldMismatch
 from homalg.fields import GF, QQ
@@ -21,9 +21,11 @@ from homalg.linalg import (
     eigenspace,
     intersect_affine,
     is_direct_sum,
+    is_injective,
     join,
     kernel,
     meet,
+    nullspace,
     rref,
     solve_affine,
     vec_is_zero,
@@ -806,3 +808,114 @@ def test_campaign_takes_no_perp(monkeypatch):
     monkeypatch.setattr(Subspace, "perp", counting)
     assert run_campaign(builtin_corpus())["ok"]
     assert calls == []
+
+
+# -- is_injective: one modular rank pass ------------------------------------------
+
+
+_INJECTIVE_FIELDS = {
+    "Q": (QQ, [F(-2, 3), F(-1), 0, 0, 0, F(1, 2), 1, 3]),
+    "GF2": (F2, [0, 0, 1]),
+    "GF3": (GF(3), [0, 0, 1, 2]),
+    "GF65521": (GF(65521), [0, 0, 1, 2, 65520]),
+}
+
+
+def _injectivity_cases(rng, field, entries):
+    """Square, tall and wide matrices: random ones, ones with a column
+    copied onto another (never injective), with the identity stacked on top
+    or unit triangular with shuffled rows (always injective), and a matrix
+    without columns."""
+    for _ in range(12):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[field.from_int(rng.choice(entries)) for _ in range(ncols)] for _ in range(nrows)]
+        eye = Matrix.identity(field, ncols).rows
+        unit = [
+            [field.from_int(rng.choice(entries)) if j > i else eye[i][j] for j in range(ncols)]
+            for i in range(ncols)
+        ]
+        rng.shuffle(unit)
+        yield Matrix(field, rows)
+        yield Matrix(field, [list(r) for r in eye] + rows)
+        yield Matrix(field, unit)
+        if ncols > 1:
+            i, j = rng.sample(range(ncols), 2)
+            for m in (rows, unit):
+                yield Matrix(field, [r[:j] + [r[i]] + r[j + 1 :] for r in m])
+    yield Matrix.zero(field, 3, 0)
+
+
+@pytest.mark.parametrize("name", sorted(_INJECTIVE_FIELDS))
+def test_is_injective_matches_the_kernel(name):
+    field, entries = _INJECTIVE_FIELDS[name]
+    rng = random.Random(f"injective-{name}")
+    seen = set()
+    for m in _injectivity_cases(rng, field, entries):
+        want = kernel(m).is_zero()
+        assert is_injective(m) == want, m.rows
+        seen.add((want, m.is_square()))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_is_injective_falls_back_when_the_certificate_prime_divides_a_minor(monkeypatch):
+    # singular mod the certificate prime, invertible over Q
+    m = Matrix(QQ, [[_CERT_PRIME, 0], [0, 1]])
+    assert _CERT_PRIME == 32749
+    calls = []
+
+    def counting(mat):
+        calls.append(mat)
+        return kernel(mat)
+
+    monkeypatch.setattr(linalg, "kernel", counting)
+    assert is_injective(m)
+    assert calls == [m]
+    # over F_p the pass is exact: no fallback, and the same matrix mod 7 is
+    # injective while mod the certificate prime it is not
+    calls.clear()
+    assert not is_injective(Matrix(GF(_CERT_PRIME), [[_CERT_PRIME, 0], [0, 1]]))
+    assert is_injective(Matrix(GF(7), [[_CERT_PRIME, 0], [0, 1]]))
+    assert calls == []
+
+
+# -- nullspace with a known part of the kernel ------------------------------------
+
+
+def _counted(rows, drawn):
+    for row in rows:
+        drawn.append(row)
+        yield row
+
+
+@pytest.mark.parametrize("raw", sorted(_RAW))
+def test_nullspace_stops_at_a_known_kernel(raw):
+    field, entries = _RAW[raw]
+    rng = random.Random(f"known-{raw}")
+    stopped = 0
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        rows = [[field.from_int(rng.choice(entries)) for _ in range(n)] for _ in range(2 * n)]
+        want = kernel(Matrix(field, rows))
+        # a subspace of the kernel: its whole basis, part of it, or nothing
+        keep = rng.randint(0, want.dim)
+        known = Subspace.from_rows(field, n, want.basis.rows[:keep])
+        drawn = []
+        got = nullspace(field, n, _counted(rows, drawn), known)
+        assert got == want
+        assert (got is known) == (keep == want.dim)
+        if keep == want.dim and len(drawn) < len(rows):
+            stopped += 1
+    assert stopped > 0
+
+
+def test_nullspace_known_kernel_shapes():
+    eye = [list(r) for r in Matrix.identity(QQ, 3).rows]
+    with pytest.raises(DimensionMismatch):
+        nullspace(QQ, 3, eye, Subspace.zero(QQ, 2))
+    full = Subspace.full(QQ, 3)
+    drawn = []
+    assert nullspace(QQ, 3, _counted(eye, drawn), full) is full
+    assert drawn == []  # nothing to learn: no row is drawn
+    drawn = []
+    assert nullspace(QQ, 3, _counted(eye, drawn), Subspace.zero(QQ, 3)).is_zero()
+    assert len(drawn) == 3

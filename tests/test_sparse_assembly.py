@@ -14,7 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import clear_memo, fpalg, matrix_algebra_tensor, qalg
+from conftest import clear_memo, fpalg, matrix_algebra_tensor, permuted, qalg
 from homalg import homstruct, linalg
 from homalg.algebra import HomAlgebra
 from homalg.campaign import builtin_corpus, generated_algebras
@@ -115,20 +115,6 @@ def dense_hu_t(a, side, twist):
 
 def _sedenions(field):
     return cayley_dickson_chain(4, field=field)[4].base
-
-
-def _permuted(a, seed):
-    """The same algebra on the basis e'_i = e_perm[i]: the identity for seed
-    0, otherwise a shuffle fixed by the seed."""
-    n = a.dim
-    perm = list(range(n))
-    if seed:
-        random.Random(f"{seed}/").shuffle(perm)
-    t = a.tensor
-    return type(a)(
-        a.field,
-        [[[t[perm[i]][perm[j]][perm[k]] for k in range(n)] for j in range(n)] for i in range(n)],
-    )
 
 
 def _small_field_configs():
@@ -297,7 +283,7 @@ def test_twist_rows_do_not_depend_on_the_basis_order(field, monkeypatch):
     base = _sedenions(field)
     for seed in range(16):
         offered.append(0)
-        ts = homstruct.twist_space.__wrapped__(_permuted(base, seed))
+        ts = homstruct.twist_space.__wrapped__(permuted(base, seed))
         assert ts.dim == 0
     # basis order offered 8,448 rows over Q on the canonical basis
     assert max(offered) <= 1000, offered

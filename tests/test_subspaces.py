@@ -10,15 +10,18 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fpalg, projection_tensor, qalg
-from homalg.constructions import GeneratorConfig, random_algebra
+from conftest import clear_memo, fpalg, permuted, projection_tensor, qalg
+from homalg import subspaces
+from homalg.campaign import builtin_corpus, generated_algebras
+from homalg.constructions import GeneratorConfig, cayley_dickson_chain, random_algebra
 from homalg.errors import (
     DimensionMismatch,
+    InternalCheckFailure,
     SearchSpaceTooLarge,
     UnsupportedDimensionOverQ,
 )
 from homalg.fields import GF, QQ
-from homalg.linalg import Subspace, meet
+from homalg.linalg import AffineSet, Matrix, Subspace, kernel, meet
 from homalg.subspaces import (
     annihilator,
     center,
@@ -75,6 +78,93 @@ def test_nucleus_octonions_is_reals(octonions):
 
 def test_nucleus_sedenions_is_reals(sedenions):
     assert nucleus(sedenions, "full") == span1(sedenions)
+
+
+SLOTS = ("left", "middle", "right")
+
+
+def _reference_nucleus(a, slot):
+    """The slot nucleus from general associators of basis elements, one
+    kernel of every block with no known part."""
+    n = a.dim
+    e = a.basis_elements()
+    rows = []
+    for s, t in iter_product(range(n), repeat=2):
+        if slot == "left":
+            cols = [a.associator(e[c], e[s], e[t]) for c in range(n)]
+        elif slot == "middle":
+            cols = [a.associator(e[s], e[c], e[t]) for c in range(n)]
+        else:
+            cols = [a.associator(e[s], e[t], e[c]) for c in range(n)]
+        rows += zip(*cols)
+    return kernel(Matrix(a.field, rows))
+
+
+def test_slot_nuclei_match_the_solve_without_a_known_part(cd_chain):
+    sedenions = cd_chain[4].base
+    corpus = [a for _, a in builtin_corpus() + generated_algebras(40)] + [
+        cd_chain[3].base,
+        sedenions,
+        permuted(sedenions, 1),
+        cayley_dickson_chain(4, field=GF(65521))[4].base,
+    ]
+    clear_memo()
+    with_unity = 0
+    for a in corpus:
+        for slot in SLOTS:
+            assert nucleus(a, slot) == _reference_nucleus(a, slot), (a, slot)
+            with_unity += subspaces._slot_unity_span(a, slot) is not None
+    assert with_unity >= 40
+
+
+def _count_nucleus_rows(monkeypatch, a):
+    """Rows each slot's nucleus solve draws from its iterable."""
+    drawn = []
+    solve = subspaces.nullspace
+
+    def counting(field, ncols, rows, known=None):
+        seen = []
+
+        def counted():
+            for row in rows:
+                seen.append(row)
+                yield row
+
+        out = solve(field, ncols, counted(), known)
+        drawn.append(len(seen))
+        return out
+
+    clear_memo()
+    monkeypatch.setattr(subspaces, "nullspace", counting)
+    for slot in SLOTS:
+        assert nucleus(a, slot) == span1(a)
+    return drawn
+
+
+def test_slot_nuclei_stop_at_the_unity_span(sedenions, monkeypatch):
+    # the unity spans each slot nucleus, so the solve stops at rank 15: on
+    # the canonical basis at most a quarter of the 4,096 rows
+    drawn = _count_nucleus_rows(monkeypatch, sedenions)
+    assert len(drawn) == 3 and max(drawn) <= 1024
+    # without the known part no solve reaches full rank and all rows are read
+    monkeypatch.setattr(subspaces, "_slot_unity_span", lambda a, slot: None)
+    assert _count_nucleus_rows(monkeypatch, sedenions) == [4096] * 3
+
+
+def test_nucleus_rejects_a_unity_outside_its_slot(sedenions, monkeypatch):
+    f, n = sedenions.field, sedenions.dim
+    unity, e1 = sedenions.basis(0), sedenions.basis(1)
+    bogus = [
+        AffineSet(f, n, e1, Subspace.zero(f, n)),
+        AffineSet(f, n, unity, Subspace.from_rows(f, n, [e1])),
+    ]
+    for unities in bogus:
+        clear_memo()
+        monkeypatch.setattr(subspaces, "find_unities", lambda a, side="left": unities)
+        for slot in SLOTS:
+            with pytest.raises(InternalCheckFailure, match=f"outside the {slot} nucleus"):
+                nucleus(sedenions, slot)
+    clear_memo()
 
 
 # -- annihilators ------------------------------------------------------------------
