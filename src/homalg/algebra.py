@@ -9,14 +9,20 @@ including serialized files).
 from __future__ import annotations
 
 import os
+from array import array
+from math import lcm
 
+from homalg import kernels
 from homalg.errors import DimensionMismatch, InvariantViolation
-from homalg.fields import Field, PrimeField
+from homalg.fields import QQ, Field, PrimeField
 from homalg.linalg import (
     Matrix,
     basis_vector,
+    cert_modulus,
+    cert_residues,
     check_same_field,
     combine,
+    is_injective,
     sparse_columns,
     sparse_entries,
     vec_is_zero,
@@ -42,6 +48,35 @@ def check_dim(n: int):
         raise DimensionMismatch(f"dimension {n} exceeds HOMALG_MAX_DIM={max_dim()}")
 
 
+def _packed_ops(a) -> dict:
+    """For each side, ``n`` packed words of ``n * n`` slots, word i holding
+    the columns of L_{e_i} (left) or R_{e_i} (right), column j in slots
+    [jn, jn + n); over Q every structure constant scaled by the lcm of their
+    denominators, then all taken mod ``cert_modulus``.  Empty past
+    ``kernels.packed_fits``."""
+    n = a.dim
+    p = cert_modulus(a.field)
+    if not kernels.packed_fits(n, p):
+        return {"left": (), "right": ()}
+    scale = 1
+    if a.field == QQ:
+        for row in a.terms:
+            for entries in row:
+                for _, c in entries:
+                    scale = lcm(scale, c.denominator)
+    left = [array("Q", bytes(8 * n * n)) for _ in range(n)]
+    right = [array("Q", bytes(8 * n * n)) for _ in range(n)]
+    for i, row in enumerate(a.terms):
+        for j, entries in enumerate(row):
+            for k, c in entries:
+                # e_i e_j: column j of L_{e_i}, column i of R_{e_j}
+                left[i][j * n + k] = right[j][i * n + k] = int(c * scale) % p
+    return {
+        "left": [int.from_bytes(w, "little") for w in left],
+        "right": [int.from_bytes(w, "little") for w in right],
+    }
+
+
 class Algebra:
     """Finite-dimensional algebra given by its structure tensor."""
 
@@ -52,6 +87,7 @@ class Algebra:
         "labels",
         "_terms",
         "_associators",
+        "_packed",
         "_hash",
     )
 
@@ -74,6 +110,7 @@ class Algebra:
             raise InvariantViolation("label list length != dim")
         self._terms = None
         self._associators = None
+        self._packed = None
         self._hash = None
 
     def __eq__(self, other):
@@ -209,6 +246,37 @@ class Algebra:
                     acc[k] = f.add(acc[k], f.mul(xi, c))
             cols.append(sparse_entries(acc))
         return cols
+
+    def op_is_injective(self, x, side: str = "left") -> bool:
+        """Whether L_x (side "left") or R_x (side "right") is injective, the
+        answer of ``is_injective(left_op(x))`` or ``is_injective(right_op(x))``.
+        Column j is the packed word sum_i x_i T[i][j] (left) or sum_i x_i
+        T[j][i] (right), T[i][j] the packed residues of e_i e_j mod
+        ``cert_modulus``: one ``kernels.packed_rank`` pass over the columns,
+        no matrix.  Over Q, T is scaled by the lcm of the structure
+        constants' denominators and x by its own (``cert_residues``); a
+        nonzero scale changes no rank, and a square operator's column rank
+        is its row rank.  A short rank is exact over F_p; over Q, or past
+        ``kernels.packed_fits``, ``is_injective`` of the matrix decides."""
+        if side not in ("left", "right"):
+            raise ValueError(f"unknown side {side!r}")
+        self._check_elem(x)
+        f = self.field
+        n = self.dim
+        if self._packed is None:
+            self._packed = _packed_ops(self)
+        if self._packed[side]:
+            p = cert_modulus(f)
+            # every slot of the sum is at most n (p - 1)**2: no carries
+            word = sum(v * w for v, w in zip(cert_residues(f, x), self._packed[side]) if v)
+            step = 8 * n
+            raw = word.to_bytes(n * step, "little")
+            cols = [int.from_bytes(raw[k : k + step], "little") for k in range(0, n * step, step)]
+            if kernels.packed_rank(cols, n, p) == n:
+                return True
+            if f != QQ:
+                return False
+        return is_injective(self.left_op(x) if side == "left" else self.right_op(x))
 
     # -- derived operators -------------------------------------------------------
 

@@ -4,10 +4,12 @@ verification machinery.
 
 Everything here reduces to exact kernel computations, one system per
 defining identity; ``hu_t`` and the multiplier spaces reuse solved
-subspaces instead, and a test that an operator is injective is one modular
-rank pass (``linalg.is_injective``).  ``hu_t`` is the preimage of the twist space under
-x -> L_x (or R_x), solved in n unknowns against the twist space's complement
-rows, and every meet is one stacked solve.  ``ac_l_subspace`` is defined by
+subspaces instead, and a test that an operator is injective is one packed
+modular rank pass (``linalg.is_injective``; for L_x and R_x,
+``Algebra.op_is_injective``, which builds no matrix).  ``hu_t`` is the
+preimage of the twist space under x -> L_x (or R_x), solved in n unknowns
+against the twist space's complement rows, and every meet is one stacked
+solve.  ``ac_l_subspace`` is defined by
 a(xy) = x(ay) and (ax)(yz) = a((xy)z); the first on the pair (xy, z) gives
 a((xy)z) = (xy)(az), so given the first the second says that L_a is a twist:
 the space is one solve over the complement rows of ``hu_t(a, "left")`` and
@@ -64,6 +66,7 @@ from homalg.linalg import (
     is_injective,
     meet,
     nullspace,
+    projective_key,
     solve_affine,
     sparse_columns,
     sparse_entries,
@@ -680,10 +683,12 @@ class HomStructureReport:
 def domain_certificate(a: Algebra):
     """('domain (sampled)', None) when every tested nonzero element has
     injective multiplication operators on both sides; exact witness otherwise.
-    Tested: all basis vectors plus seeded random nonzero combinations.  Each
-    operator is decided by ``linalg.is_injective``, one modular rank pass
-    that stops at full rank; only over Q, and only when the certificate
-    prime divides a minor, does a kernel solve decide instead."""
+    Tested: all basis vectors plus seeded random nonzero combinations, each
+    projective class once, at its first occurrence (L_cx = c L_x, so the
+    verdict and the witness are those of the full list).  Each operator is
+    decided by ``Algebra.op_is_injective``, one packed modular rank pass over
+    its columns that builds no matrix; only over Q, and only when the
+    certificate prime divides a minor, does a kernel solve decide instead."""
     n = a.dim
     candidates = [a.basis(i) for i in range(n)]
     rng = random.Random(_DOMAIN_SAMPLE_SEED)
@@ -692,8 +697,13 @@ def domain_certificate(a: Algebra):
         v = tuple(a.field.from_int(rng.choice(pool)) for _ in range(n))
         if not vec_is_zero(v):
             candidates.append(v)
+    seen = set()
     for x in candidates:
-        if not is_injective(a.left_op(x)) or not is_injective(a.right_op(x)):
+        key = projective_key(a.field, x)
+        if key in seen:
+            continue
+        seen.add(key)
+        if not a.op_is_injective(x, "left") or not a.op_is_injective(x, "right"):
             return "not a domain (witness)", x
     return "domain (sampled)", None
 
@@ -869,10 +879,10 @@ def structure_theorem_audit(a: Algebra, unitalize_limit: int = 8) -> HomStructur
         values = dict.fromkeys(a.associators.values())
         assoc_candidates += [v for v in values if v not in listed]
     right_regular_assoc = not uni_l.is_empty and any(
-        is_injective(a.right_op(x)) for x in assoc_candidates
+        a.op_is_injective(x, "right") for x in assoc_candidates
     )
     left_regular_assoc = not uni_r.is_empty and any(
-        is_injective(a.left_op(x)) for x in assoc_candidates
+        a.op_is_injective(x, "left") for x in assoc_candidates
     )
 
     ac_left = ac_right = None

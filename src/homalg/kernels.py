@@ -31,8 +31,24 @@ Contracts
 
 ``row_primitive_int(row)``
     Divides an integer row by its content in place, leading entry positive.
+
+``packed_rank(vectors, nslots, p)``
+    The rank over F_p of ``vectors``, each one packed word: a Python int
+    whose slot k, the bits [64k, 64k + 64), holds entry k, a nonnegative
+    value of at most ``nslots·(p−1)²``, reduced mod p or not.  A pivot row
+    is kept reduced with its pivot column c and ``−1/x_c mod p``; one
+    elimination step is one multiply-add over the whole word, ``x +
+    ((−x_c/lead) mod p)·pivot``, which adds at most (p−1)² to a slot.  A
+    vector is reduced mod p, by one ``array('Q')`` round trip, only if a
+    pivot row updated it or a slot holds p or more.  Its nonzero remainder
+    becomes a pivot row; the pass stops at rank ``nslots``.  Exact while
+    ``packed_fits(nslots, p)``: 2·nslots·(p−1)² < 2^64, so that a slot, at
+    most nslots·(p−1)² plus (nslots−1)(p−1)² from the pivot rows, never
+    carries into the next.  ``pack(values)`` makes a word from values below
+    2^64, value k in slot k.
 """
 
+from array import array
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -180,3 +196,41 @@ def rref_int(rows):
         if rank == nrows:
             break
     return rows[:rank], pivots
+
+
+_WORD = (1 << 64) - 1
+
+
+def packed_fits(nslots, p):
+    return 2 * nslots * (p - 1) ** 2 < 1 << 64
+
+
+def pack(values):
+    return int.from_bytes(array("Q", values), "little")
+
+
+def packed_rank(vectors, nslots, p):
+    nbytes = 8 * nslots
+    reduce = p.__rmod__
+    ones = pack([1] * nslots)
+    # a slot v < 2**63 is p or more iff v + 2**63 - p sets its top bit
+    low = ((1 << 63) - p) * ones
+    high = ones << 63
+    pivots = []
+    for x in vectors:
+        dirty = (x + low) & high
+        for shift, neg_inv, row in pivots:
+            v = (x >> shift) & _WORD
+            if v:
+                b = v * neg_inv % p
+                if b:
+                    x += b * row
+                    dirty = True
+        if dirty:
+            x = pack(map(reduce, array("Q", x.to_bytes(nbytes, "little"))))
+        if x:
+            shift = ((x & -x).bit_length() - 1) & -64  # the lowest nonzero slot
+            pivots.append((shift, p - pow((x >> shift) & _WORD, -1, p), x))
+            if len(pivots) == nslots:
+                break
+    return len(pivots)

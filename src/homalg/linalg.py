@@ -16,7 +16,8 @@ full rank, or until the rank leaves room only for a kernel part the caller
 already knows, so a lazy family never builds the rows past that point.
 Caller input (``rref``, ``solve_affine``, ``Subspace.from_rows``) is read
 whole and checked row by row instead.  ``is_injective`` is the one other
-caller of ``kernels``: a yes/no rank question needs only the modular echelon.
+caller of ``kernels``: a yes/no rank question needs only a modular rank, for
+which each row is one packed word (``kernels.packed_rank``).
 """
 
 from __future__ import annotations
@@ -429,24 +430,55 @@ def nullspace(field: Field, ncols: int, rows, known: "Subspace | None" = None) -
 
 
 def is_injective(m: Matrix) -> bool:
-    """Whether ``m`` has a zero right nullspace, from one rank pass: each row
-    goes straight into a modular echelon (``kernels.echelon_add``), over Q
-    cleared of denominators and taken mod ``_CERT_PRIME``, over F_p mod p,
-    and the pass returns True on the row that makes the rank full.  Over F_p
-    a rank that stays short is exact; over Q it only means the certificate
-    prime may divide a minor, so ``kernel(m)`` decides."""
+    """Whether ``m`` has a zero right nullspace, from one modular rank pass
+    over its rows, taken as ``cert_residues``, that returns True on the row
+    that makes the rank full.  While ``kernels.packed_fits(ncols, p)`` (below
+    2^33 columns mod 32749, below 2^31 over GF(65521)) each row is one packed
+    word of ``kernels.packed_rank``; past it, as over
+    GF(18446744073709551557), each row is a dict of residues for
+    ``kernels.echelon_add``.  Over F_p a rank that stays short is exact; over
+    Q it only means the certificate prime may divide a minor, so
+    ``kernel(m)`` decides."""
     field = m.field
     n = m.ncols
-    rational = field == QQ
-    p = _CERT_PRIME if rational else field.p
-    echelon: dict = {}
-    for row in m.rows:
-        if rational:
-            row = _q_row_to_int(row)
-        residues = {c: v % p for c, v in enumerate(row) if v % p}
-        if residues and kernels.echelon_add(echelon, residues, p) and len(echelon) == n:
+    p = cert_modulus(field)
+    rows = (cert_residues(field, row) for row in m.rows)
+    if kernels.packed_fits(n, p):
+        if kernels.packed_rank(map(kernels.pack, rows), n, p) == n:
             return True
-    return n == 0 or (rational and kernel(m).is_zero())
+    else:
+        echelon: dict = {}
+        for row in rows:
+            residues = {c: v for c, v in enumerate(row) if v}
+            if residues and kernels.echelon_add(echelon, residues, p) and len(echelon) == n:
+                return True
+    return field == QQ and kernel(m).is_zero()
+
+
+def cert_modulus(field: Field) -> int:
+    """The prime of the modular rank certificates: ``_CERT_PRIME`` over Q,
+    the field's own p over F_p."""
+    return _CERT_PRIME if field == QQ else field.p
+
+
+def cert_residues(field: Field, u) -> list:
+    """``u`` mod ``cert_modulus(field)``, over Q cleared of denominators
+    first: residues of a nonzero multiple of ``u``, so no rank changes."""
+    if field == QQ:
+        return [v % _CERT_PRIME for v in _q_row_to_int(u)]
+    p = field.p
+    return [v % p for v in u]
+
+
+def projective_key(field: Field, u) -> tuple:
+    """One tuple for a nonzero ``u`` and all its nonzero multiples: over Q
+    the primitive integer multiple with leading entry positive, over F_p
+    ``u`` divided by its leading entry."""
+    if field == QQ:
+        return tuple(kernels.row_primitive_int(_q_row_to_int(u)))
+    p = field.p
+    inv = pow(next(v for v in u if v % p), -1, p)
+    return tuple(v * inv % p for v in u)
 
 
 # -- public operations ---------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 import homalg
 from conftest import MEMOIZED, NIL2, clear_memo, fpalg, permuted, projection_tensor, qalg
-from homalg import homstruct, subspaces
+from homalg import homstruct, linalg, subspaces
 from homalg.algebra import Algebra, HomAlgebra
 from homalg.campaign import (
     _twist_instances,
@@ -508,6 +508,10 @@ def test_domain_certificate_matches_the_kernel_reference(cd_chain):
     octonions_f3 = cayley_dickson_chain(3, field=GF(3))[3].base
     corpus = [a for _, a in builtin_corpus() + generated_algebras(40)]
     corpus += [cd_chain[3].base, octonions_f3]
+    # the certificate prime divides a structure constant's denominator; and
+    # a modulus past the packed-word bound
+    corpus.append(cayley_dickson_chain(4, [F(-1, 32749), -1, -1, -1])[4].base)
+    corpus.append(cayley_dickson_chain(3, field=GF(18446744073709551557))[3].base)
     # seed 520073127 permutes the sedenion basis so that a sample hits a
     # zero divisor; the canonical basis (seed 0) finds none
     for seed in (0, 1, 2, 3, 520073127):
@@ -521,6 +525,25 @@ def test_domain_certificate_matches_the_kernel_reference(cd_chain):
     assert domain_certificate(sedenions)[1] is None
     assert domain_certificate(permuted(sedenions, 520073127))[1] is not None
     assert domain_certificate(octonions_f3)[1] is not None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(65521)], ids=["Q", "GF65521"])
+def test_domain_certificate_builds_no_operator_matrix(monkeypatch, field):
+    calls = []
+    for name in ("left_op", "right_op"):
+        build = getattr(Algebra, name)
+        monkeypatch.setattr(
+            Algebra, name, lambda a, x, _n=name, _b=build: calls.append(_n) or _b(a, x)
+        )
+    solve = linalg.kernel
+    monkeypatch.setattr(linalg, "kernel", lambda m: calls.append("kernel") or solve(m))
+    sedenions = cayley_dickson_chain(4, field=field)[4].base
+    assert domain_certificate(sedenions) == ("domain (sampled)", None)
+    assert calls == []
+    if field == QQ:  # the counters see the exact fallback where it runs
+        gamma = cayley_dickson_chain(4, [F(-1, 32749), -1, -1, -1])[4].base
+        domain_certificate(gamma)
+        assert {"left_op", "kernel"} <= set(calls)
 
 
 def test_audit_octonions_no_hom_structures(octonions):

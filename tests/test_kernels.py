@@ -1,11 +1,14 @@
 """Row-reduction kernel contracts: ascending pivots, fully reduced rows,
-normalized pivot entries, and every input row in the span of the output."""
+normalized pivot entries, and every input row in the span of the output;
+the packed-word rank against the rank of ``rref_fp``."""
 
 import random
 from fractions import Fraction
 from math import gcd
 
-from homalg import kernels
+from homalg import kernels, linalg
+from homalg.fields import GF
+from homalg.linalg import Matrix, is_injective, kernel
 
 
 def _random_int_rows(rng, nrows, ncols, lo=-9, hi=9):
@@ -170,3 +173,54 @@ def test_row_primitive_int():
     assert kernels.row_primitive_int(list(row)) == [2, -3, 4]
     assert kernels.row_primitive_int([-6, 9]) == [2, -3]  # leading entry positive
     assert kernels.row_primitive_int([0, 0]) == [0, 0]
+
+
+def _lifted_words(rng, rows, p):
+    """``rows`` as packed words, each entry raised by a random multiple of p
+    to at most nslots·(p−1)², the largest entry the contract allows."""
+    top = len(rows[0]) * (p - 1) ** 2
+    return [kernels.pack([v + p * rng.randint(0, (top - v) // p) for v in row]) for row in rows]
+
+
+def test_packed_rank_matches_rref_fp():
+    rng = random.Random(2406)
+    for p in (2, 3, 32749, 65521):
+        for _ in range(40):
+            # tall, square, repeated multiples, wide (fewer vectors than
+            # slots) and all-zero vectors
+            for label, rows in _reference_cases(rng, p):
+                nslots = len(rows[0])
+                want = len(kernels.rref_fp(rows, p)[1])
+                got = kernels.packed_rank(map(kernels.pack, rows), nslots, p)
+                assert got == want, (p, label, rows)
+                assert kernels.packed_rank(_lifted_words(rng, rows, p), nslots, p) == want
+    assert kernels.packed_rank([], 3, 5) == 0
+    assert kernels.packed_rank([0, 0], 0, 5) == 0
+
+
+def test_packed_rank_at_the_slot_bound(monkeypatch):
+    p = 1073741789  # the largest prime below 2**30
+    assert kernels.packed_fits(8, p) and not kernels.packed_fits(9, p)
+    # every entry p − 1: each update adds the most a pivot row can, (p − 1)²
+    assert kernels.packed_rank([kernels.pack([p - 1] * 8)] * 8, 8, p) == 1
+    # every entry at most 8 (p − 1)², the contract's limit: 8J − I mod p,
+    # full rank, reached only if the first, untouched vector is reduced
+    top = 8 * (p - 1) ** 2
+    rows = [[top - (i == j) * (p + 1) for j in range(8)] for i in range(8)]
+    assert kernels.packed_rank(map(kernels.pack, rows), 8, p) == 8
+    assert len(kernels.rref_fp([[v % p for v in r] for r in rows], p)[1]) == 8
+
+    calls = []
+    packed_rank = kernels.packed_rank
+    monkeypatch.setattr(
+        kernels, "packed_rank", lambda *args: calls.append(args[1]) or packed_rank(*args)
+    )
+    for n in (8, 9):
+        f = GF(p)
+        for m in (
+            Matrix(f, [[p - 1] * n for _ in range(n)]),
+            Matrix(f, [[p - 1 - (i == j) for j in range(n)] for i in range(n)]),
+        ):
+            assert is_injective(m) == kernel(m).is_zero()
+    # past the bound at 9 columns only the echelon path runs
+    assert calls == [8, 8]

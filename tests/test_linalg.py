@@ -818,6 +818,9 @@ _INJECTIVE_FIELDS = {
     "GF2": (F2, [0, 0, 1]),
     "GF3": (GF(3), [0, 0, 1, 2]),
     "GF65521": (GF(65521), [0, 0, 1, 2, 65520]),
+    # the packed pass near its slot bound, and the echelon pass past it
+    "GF1073741789": (GF(1073741789), [0, 0, 1, 2, 1073741788]),
+    "GF18446744073709551557": (GF(18446744073709551557), [0, 0, 1, 2, 18446744073709551556]),
 }
 
 
