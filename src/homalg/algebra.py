@@ -23,6 +23,7 @@ from homalg.linalg import (
     check_same_field,
     combine,
     is_injective,
+    kernel,
     sparse_columns,
     sparse_entries,
     vec_is_zero,
@@ -256,8 +257,9 @@ class Algebra:
         no matrix.  Over Q, T is scaled by the lcm of the structure
         constants' denominators and x by its own (``cert_residues``); a
         nonzero scale changes no rank, and a square operator's column rank
-        is its row rank.  A short rank is exact over F_p; over Q, or past
-        ``kernels.packed_fits``, ``is_injective`` of the matrix decides."""
+        is its row rank.  A short rank is exact over F_p; over Q ``kernel`` of
+        the matrix decides (``is_injective`` would repeat this pass first), and
+        past ``kernels.packed_fits`` ``is_injective`` of the matrix does."""
         if side not in ("left", "right"):
             raise ValueError(f"unknown side {side!r}")
         self._check_elem(x)
@@ -265,6 +267,7 @@ class Algebra:
         n = self.dim
         if self._packed is None:
             self._packed = _packed_ops(self)
+        op = self.left_op if side == "left" else self.right_op
         if self._packed[side]:
             p = cert_modulus(f)
             # every slot of the sum is at most n (p - 1)**2: no carries
@@ -274,9 +277,8 @@ class Algebra:
             cols = [int.from_bytes(raw[k : k + step], "little") for k in range(0, n * step, step)]
             if kernels.packed_rank(cols, n, p) == n:
                 return True
-            if f != QQ:
-                return False
-        return is_injective(self.left_op(x) if side == "left" else self.right_op(x))
+            return f == QQ and kernel(op(x)).is_zero()
+        return is_injective(op(x))
 
     # -- derived operators -------------------------------------------------------
 
@@ -495,3 +497,53 @@ def is_idempotent_map(f: Matrix) -> bool:
 
 def is_idempotent_elem(a: Algebra, x) -> bool:
     return a.multiply(x, x) == tuple(x)
+
+
+class Record:
+    """Base of the package's small value records, whose ``__slots__`` name
+    their fields: ``__init__`` takes them positionally or by keyword, the
+    last ``len(_defaults)`` optional (a default that is a type, like
+    ``list``, is called for a fresh value).  A record is immutable, equal to
+    a record of its class with equal fields and hashed as their tuple."""
+
+    __slots__ = ()
+    _defaults: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if kwargs or len(args) != len(fields):
+            args = self._complete(args, kwargs)
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+
+    def _complete(self, args, kwargs) -> list:
+        """Every field's value from ``__init__``'s arguments and the defaults."""
+        fields = self.__slots__
+        if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args) :]):
+            raise TypeError(f"{type(self).__name__}: too many, repeated or unknown fields")
+        optional = fields[len(fields) - len(self._defaults) :]
+        values = {n: d() if isinstance(d, type) else d for n, d in zip(optional, self._defaults)}
+        values.update(zip(fields, args), **kwargs)
+        if len(values) < len(fields):
+            raise TypeError(f"{type(self).__name__}: missing {set(fields) - set(values)}")
+        return [values[n] for n in fields]
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"

@@ -6,9 +6,8 @@ random-algebra generator for property campaigns.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from homalg.algebra import Algebra, HomAlgebra, InvolutiveAlgebra, check_dim, max_dim
+from homalg.algebra import Algebra, HomAlgebra, InvolutiveAlgebra, Record, check_dim, max_dim
 from homalg.algebra import check_twist, triple_defects, twisted_ops
 from homalg.errors import (
     DimensionMismatch,
@@ -295,8 +294,7 @@ def truncated_poly(field: Field = QQ, degree_cap: int = 6, with_constants: bool 
 # -- deterministic generator -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(Record):
     """Deterministic recipe for a random structure tensor.
 
     Same config always yields the bit-identical algebra.  ``flag`` is one of
@@ -304,22 +302,16 @@ class GeneratorConfig:
     them as mutually exclusive options).
     """
 
-    seed: int
-    dim: int
-    field: Field
-    pool: tuple = None  # raw scalars; defaults to (-1, 0, 0, 1) in the field
-    flag: str = "none"
+    __slots__ = ("seed", "dim", "field", "pool", "flag")
+    _defaults = (None, "none")  # pool: raw scalars; None gives (-1, 0, 0, 1)
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.flag not in ("none", "left_unital", "commutative", "anticommutative"):
             raise InvariantViolation(f"unknown generator flag {self.flag!r}")
         if self.pool is None:
             f = self.field
-            object.__setattr__(
-                self,
-                "pool",
-                (f.neg(f.one), f.zero, f.zero, f.one),
-            )
+            object.__setattr__(self, "pool", (f.neg(f.one), f.zero, f.zero, f.one))
 
     def to_json(self):
         return {

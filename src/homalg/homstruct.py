@@ -23,8 +23,10 @@ have the same twist space, since (xy)alpha(z) = alpha(x)(yz) on (x, y, z)
 is the opposite's identity on (z, y, x), and R_x is L_x of the opposite, so
 one twist system serves both sides.  The solvers returning a subspace are
 memoized per algebra value in bounded lru caches, so each result must stay
-immutable; nothing returning an Algebra is cached, because Algebra equality
-ignores the basis labels.  A unity passed in by a caller is checked by
+immutable: a Subspace or Matrix by convention, the records ``TwistSpace``
+and ``AcOneSided`` (``algebra.Record``) by a ``__setattr__`` that raises;
+nothing returning an Algebra is cached, because Algebra equality ignores the
+basis labels.  A unity passed in by a caller is checked by
 membership in the memoized ``find_unities`` set of its side.
 
 Every constraint row is assembled from the sparse product table
@@ -41,11 +43,10 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import chain, product
 
-from homalg.algebra import Algebra, HomAlgebra, max_dim, triple_defects, twisted_ops
+from homalg.algebra import Algebra, HomAlgebra, Record, max_dim, triple_defects, twisted_ops
 from homalg.algebra import is_idempotent_elem, is_idempotent_map
 from homalg.constructions import ac_unitalized_by_eigenspaces, opposite, opposite_hom
 from homalg.errors import (
@@ -84,14 +85,11 @@ _TRIPLE_ORDER_SEED = 0x7315
 # -- twist space -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwistSpace:
+class TwistSpace(Record):
     """All linear maps making the product hom-associative, as a canonical
     subspace of the flattened (row-major) map space plus unflattened basis."""
 
-    algebra: Algebra
-    space: Subspace
-    maps: tuple
+    __slots__ = ("algebra", "space", "maps")
 
     @property
     def dim(self) -> int:
@@ -264,14 +262,11 @@ def _fixed_part(space: Subspace, op: Matrix) -> Subspace:
     return nullspace(space.field, space.ambient_dim, chain(space.complement_rows(), rows))
 
 
-@dataclass(frozen=True)
-class AcOneSided:
-    side: str
-    unity: tuple
-    ac: Subspace
-    ac_unit: Subspace
-    ann: Subspace
-    split_ok: bool
+class AcOneSided(Record):
+    """The Subspaces ac, ac_unit and ann of ``ac_one_sided`` on one side,
+    its unity and whether ac = ac_unit + ann is direct."""
+
+    __slots__ = ("side", "unity", "ac", "ac_unit", "ann", "split_ok")
 
 
 @lru_cache(maxsize=32)
@@ -639,11 +634,9 @@ def bijection_report(a: Algebra, side: str = "left") -> dict:
 # -- the audit ---------------------------------------------------------------------
 
 
-@dataclass
-class Check:
-    name: str
-    status: str  # pass | fail | skipped | flagged
-    detail: str = ""
+class Check(Record):
+    __slots__ = ("name", "status", "detail")  # status: pass | fail | skipped | flagged
+    _defaults = ("",)
 
 
 class _CheckList(list):
@@ -659,16 +652,14 @@ class _CheckList(list):
         self.append(Check(name, "pass" if cond else "flagged", detail))
 
 
-@dataclass
-class HomStructureReport:
-    algebra: Algebra
-    flags: dict
-    unities: dict
-    spaces: dict
-    twist: TwistSpace
-    ac_left: AcOneSided | None
-    ac_right: AcOneSided | None
-    checks: list = dc_field(default_factory=list)
+class HomStructureReport(Record):
+    """The audit of ``structure_theorem_audit``; ``ac_left`` and ``ac_right``
+    are None on a side without a unity."""
+
+    __slots__ = (
+        "algebra", "flags", "unities", "spaces", "twist", "ac_left", "ac_right", "checks"
+    )
+    _defaults = (list,)
 
     def ok(self) -> bool:
         return not any(c.status == "fail" for c in self.checks)

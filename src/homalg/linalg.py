@@ -306,7 +306,7 @@ class NullspaceSolver:
         self._p = _CERT_PRIME if self._rational else field.p
         self._seen: set = set()
         self._echelon: dict = {}  # pivot column -> tail pairs, pivot entry 1
-        self._pool: list = []  # Q only: unique integer rows (tuples) for the exact pass
+        self._pool: list = []  # Q only: the keys of the new rows, for the exact pass
         self.full_rank = ncols == 0
 
     @property
@@ -322,14 +322,11 @@ class NullspaceSolver:
         if raw in self._seen:
             return
         if self._rational:
-            key = tuple(kernels.row_primitive_int(_q_row_to_int(row)))
-            self._push(key, enumerate(key))
+            vals = kernels.row_primitive_int(_q_row_to_int(row))
+            self._push(tuple([e for e in enumerate(vals) if e[1]]))
         else:
             p = self._p
-            key = tuple([(c, v % p) for c, v in enumerate(row) if v % p])
-            self._push(key, key)
-        # after _push: a row already in normal form would otherwise meet its
-        # own key there and be dropped
+            self._push(tuple([(c, v % p) for c, v in enumerate(row) if v % p]))
         self._seen.add(raw)
 
     def add_sparse(self, pairs):
@@ -349,28 +346,25 @@ class NullspaceSolver:
             return
         if self._rational:
             cols, vals = zip(*key)
-            vals = kernels.row_primitive_int(_q_row_to_int(vals))
-            row = [0] * self.ncols
-            for c, v in zip(cols, vals):
-                row[c] = v
-            self._push(tuple(row), zip(cols, vals))
+            self._push(tuple(zip(cols, kernels.row_primitive_int(_q_row_to_int(vals)))))
         else:
-            self._push(key, key)  # residue pairs: already the normal form
+            self._push(key)  # residue pairs: already the normal form
+        # after _push: a row offered in normal form would otherwise meet its
+        # own key there and be dropped
         self._seen.add(key)
 
-    def _push(self, key, entries):
+    def _push(self, key):
         """Reduce one row into the echelon unless its normal form ``key``
-        repeats one: its ``(column, residue)`` pairs over F_p, over Q its
-        primitive integer row, pooled for the exact pass.  ``entries``, the
-        row's ``(column, value)`` pairs, are read only for a new key, as most
-        rows offered are duplicates."""
+        repeats one: the ``(column, value)`` pairs of its nonzero entries,
+        residues over F_p, over Q of its primitive integer row, pooled for the
+        exact pass and made dense only if that pass runs."""
         if not key or key in self._seen:
             return
         self._seen.add(key)
         if self._rational:
             self._pool.append(key)  # shares the tuple held in _seen
         p = self._p
-        row = {c: v % p for c, v in entries if v % p}
+        row = {c: v % p for c, v in key if v % p}
         if kernels.echelon_add(self._echelon, row, p) and len(self._echelon) == self.ncols:
             self.full_rank = True
             self._pool = []
@@ -381,7 +375,11 @@ class NullspaceSolver:
         rank emptied it; else the echelon's back phase (the identity at full
         rank)."""
         if self._pool:
-            red, pivots = kernels.rref_int([list(r) for r in self._pool])
+            rows = [[0] * self.ncols for _ in self._pool]
+            for row, key in zip(rows, self._pool):
+                for c, v in key:
+                    row[c] = v
+            red, pivots = kernels.rref_int(rows)
             return _int_rref_to_q(red, pivots), pivots
         return kernels.echelon_rref(self._echelon, self.ncols, self._p)
 

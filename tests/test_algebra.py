@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import NIL2, projection_tensor, qalg
-from homalg import homstruct
+from homalg import homstruct, kernels
 from homalg.algebra import (
     Algebra,
     HomAlgebra,
@@ -33,6 +33,7 @@ from homalg.fields import GF, QQ
 from homalg.linalg import (
     Matrix,
     combine,
+    is_injective,
     sparse_columns,
     sparse_entries,
     vec_add,
@@ -458,3 +459,16 @@ def test_skew_symmetry_flag():
     )
     assert lie.is_skew_symmetric()
     assert not qalg(projection_tensor(2)).is_skew_symmetric()
+
+
+def test_op_is_injective_runs_one_packed_pass_on_a_short_q_rank(monkeypatch):
+    # L_{e0} = diag(32749, 1): rank 1 mod the certificate prime 32749, so the
+    # kernel decides over Q, without a second packed pass over the matrix
+    a = Algebra(QQ, [[[32749, 0], [0, 1]], [[0, 0], [0, 0]]])
+    calls = []
+    rank = kernels.packed_rank
+    monkeypatch.setattr(kernels, "packed_rank", lambda *args: calls.append(1) or rank(*args))
+    assert a.op_is_injective(a.basis(0), "left")
+    assert len(calls) == 1
+    assert is_injective(a.left_op(a.basis(0)))
+    assert not a.op_is_injective(a.basis(0), "right")  # R_{e0} e1 = 0

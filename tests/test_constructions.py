@@ -338,6 +338,28 @@ def test_random_algebra_rejects_unknown_flag():
         GeneratorConfig(seed=0, dim=2, field=QQ, flag="unital")
 
 
+def test_generator_config_is_a_value_record():
+    cfg = GeneratorConfig(7, 3, GF(7))
+    assert (cfg.pool, cfg.flag) == ((6, 0, 0, 1), "none")  # the default pool, in the field
+    same = GeneratorConfig(seed=7, dim=3, field=GF(7), pool=(6, 0, 0, 1), flag="none")
+    assert cfg == same and hash(cfg) == hash(same)
+    assert cfg != GeneratorConfig(7, 3, GF(7), flag="commutative")
+    assert repr(cfg) == "GeneratorConfig(seed=7, dim=3, field=F7, pool=(6, 0, 0, 1), flag='none')"
+    with pytest.raises(InvariantViolation, match="unknown generator flag"):
+        GeneratorConfig(7, 3, GF(7), None, "unital")
+    with pytest.raises(AttributeError):
+        cfg.seed = 8
+    assert cfg == same
+    for args, kwargs in [
+        ((7, 3), {}),  # field missing
+        ((7, 3, QQ, None, "none", 0), {}),  # one argument too many
+        ((7, 3, QQ), {"dim": 3}),  # dim given twice
+        ((7, 3, QQ), {"seeds": 1}),  # no such field
+    ]:
+        with pytest.raises(TypeError):
+            GeneratorConfig(*args, **kwargs)
+
+
 def test_generator_config_json_roundtrip_fields():
     cfg = GeneratorConfig(seed=7, dim=3, field=GF(7), flag="commutative")
     doc = cfg.to_json()

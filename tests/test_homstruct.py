@@ -3,7 +3,6 @@
 import importlib
 import pkgutil
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product as iter_product
 
@@ -218,6 +217,39 @@ def test_ac_one_sided_projection(proj2):
         ac_one_sided(proj2, "right")
 
 
+def test_cached_records_compare_by_value_and_refuse_assignment(quaternions):
+    ts = twist_space(quaternions)
+    acs = ac_one_sided(quaternions, "left")
+    fresh_ts = homstruct.TwistSpace(ts.algebra, ts.space, ts.maps)
+    fresh_acs = homstruct.AcOneSided(
+        acs.side, acs.unity, ac=acs.ac, ac_unit=acs.ac_unit, ann=acs.ann, split_ok=acs.split_ok
+    )
+    for cached, fresh in ((ts, fresh_ts), (acs, fresh_acs)):
+        assert fresh is not cached and fresh == cached and hash(fresh) == hash(cached)
+    assert fresh_acs != homstruct.AcOneSided("right", *fresh_acs._values()[1:])
+    assert fresh_ts != fresh_acs
+    for record, name in ((ts, "space"), (acs, "ac")):
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is before
+    assert twist_space(quaternions) is ts and ac_one_sided(quaternions, "left") is acs
+
+
+def test_check_and_report_records(quaternions):
+    assert homstruct.Check("a", "pass") == homstruct.Check(name="a", status="pass", detail="")
+    assert homstruct.Check("a", "pass") != homstruct.Check("a", "fail")
+    assert homstruct.Check("a", "pass") != ("a", "pass", "")  # records equal their own class only
+    ts = twist_space(quaternions)
+    first, second = (
+        homstruct.HomStructureReport(quaternions, {}, {}, {}, ts, None, None) for _ in range(2)
+    )
+    assert first.checks == [] and first.checks is not second.checks  # a fresh list each
+    assert first == second
+
+
 def test_ac_one_sided_two_sided_unital_collapse(quaternions):
     acs = ac_one_sided(quaternions, "left")
     assert acs.ac == acs.ac_unit == ac_two_sided(quaternions)
@@ -265,7 +297,10 @@ def test_right_side_matches_opposite_transport():
                 ac_one_sided(a, "right")
             continue
         right_unital += 1
-        assert ac_one_sided(a, "right") == replace(ac_one_sided(op, "left"), side="right"), name
+        got, ref = ac_one_sided(a, "right"), ac_one_sided(op, "left")
+        assert got.side == "right" and ref.side == "left", name
+        assert got.unity == ref.unity and got.split_ok == ref.split_ok, name
+        assert (got.ac, got.ac_unit, got.ann) == (ref.ac, ref.ac_unit, ref.ann), name
         reference = {**bijection_report(op, "left"), "side": "right"}
         assert bijection_report(a, "right") == reference, name
     assert right_unital >= 20
@@ -536,7 +571,8 @@ def test_domain_certificate_builds_no_operator_matrix(monkeypatch, field):
             Algebra, name, lambda a, x, _n=name, _b=build: calls.append(_n) or _b(a, x)
         )
     solve = linalg.kernel
-    monkeypatch.setattr(linalg, "kernel", lambda m: calls.append("kernel") or solve(m))
+    for module in (linalg, homalg.algebra):  # is_injective's and op_is_injective's
+        monkeypatch.setattr(module, "kernel", lambda m: calls.append("kernel") or solve(m))
     sedenions = cayley_dickson_chain(4, field=field)[4].base
     assert domain_certificate(sedenions) == ("domain (sampled)", None)
     assert calls == []

@@ -362,7 +362,7 @@ def test_nullspace_solver_pools_proportional_rows_once():
     solver = NullspaceSolver(QQ, 2)
     for row in ([2, 4], [1, 2], [-3, -6]):
         solver.add_dense(row)
-    assert solver._pool == [(1, 2)]
+    assert solver._pool == [((0, 1), (1, 2))]
     assert solver.solve() == kernel(qmat([[1, 2]]))
 
 

@@ -8,6 +8,10 @@ and resolves each name the way the tracer does.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +46,22 @@ def test_traced_name_resolves(module_name, path):
 def test_op_family_cache_is_clearable():
     # the benchmark's self-test clears this cache between runs
     assert callable(homstruct._op_family.cache_clear)
+
+
+def test_cli_import_loads_every_traced_module_and_no_dataclasses():
+    # start-up cost: ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and
+    # ``tokenize``; the tracer needs every traced module loaded eagerly
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import homalg.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(_TRACER_PATH.parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(json.loads(out.stdout))
+    assert not {"dataclasses", "inspect"} & loaded
+    traced = {f"homalg.{m}" for m, _ in TARGETS}
+    assert {"homalg.campaign", "homalg.leibniz"} <= traced <= loaded
