@@ -503,8 +503,9 @@ class Record:
     """Base of the package's small value records, whose ``__slots__`` name
     their fields: ``__init__`` takes them positionally or by keyword, the
     last ``len(_defaults)`` optional (a default that is a type, like
-    ``list``, is called for a fresh value).  A record is immutable, equal to
-    a record of its class with equal fields and hashed as their tuple."""
+    ``list``, is called for a fresh value).  A record is equal to a record
+    of its class with equal fields; like a list, it is mutable and has no
+    hash."""
 
     __slots__ = ()
     _defaults: tuple = ()
@@ -528,11 +529,6 @@ class Record:
             raise TypeError(f"{type(self).__name__}: missing {set(fields) - set(values)}")
         return [values[n] for n in fields]
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
@@ -541,9 +537,21 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
-    def __hash__(self):
-        return hash(self._values())
-
     def __repr__(self):
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A ``Record`` that refuses assignment and hashes as the tuple of its
+    fields, for values that caches hand out or key on."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(self._values())

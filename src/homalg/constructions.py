@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 
-from homalg.algebra import Algebra, HomAlgebra, InvolutiveAlgebra, Record, check_dim, max_dim
+from homalg.algebra import Algebra, FrozenRecord, HomAlgebra, InvolutiveAlgebra, check_dim, max_dim
 from homalg.algebra import check_twist, triple_defects, twisted_ops
 from homalg.errors import (
     DimensionMismatch,
@@ -294,7 +294,7 @@ def truncated_poly(field: Field = QQ, degree_cap: int = 6, with_constants: bool 
 # -- deterministic generator -------------------------------------------------------
 
 
-class GeneratorConfig(Record):
+class GeneratorConfig(FrozenRecord):
     """Deterministic recipe for a random structure tensor.
 
     Same config always yields the bit-identical algebra.  ``flag`` is one of

@@ -24,9 +24,9 @@ is the opposite's identity on (z, y, x), and R_x is L_x of the opposite, so
 one twist system serves both sides.  The solvers returning a subspace are
 memoized per algebra value in bounded lru caches, so each result must stay
 immutable: a Subspace or Matrix by convention, the records ``TwistSpace``
-and ``AcOneSided`` (``algebra.Record``) by a ``__setattr__`` that raises;
-nothing returning an Algebra is cached, because Algebra equality ignores the
-basis labels.  A unity passed in by a caller is checked by
+and ``AcOneSided`` (``algebra.FrozenRecord``) by a ``__setattr__`` that
+raises; nothing returning an Algebra is cached, because Algebra equality
+ignores the basis labels.  A unity passed in by a caller is checked by
 membership in the memoized ``find_unities`` set of its side.
 
 Every constraint row is assembled from the sparse product table
@@ -46,8 +46,8 @@ from array import array
 from functools import lru_cache
 from itertools import chain, product
 
-from homalg.algebra import Algebra, HomAlgebra, Record, max_dim, triple_defects, twisted_ops
-from homalg.algebra import is_idempotent_elem, is_idempotent_map
+from homalg.algebra import Algebra, FrozenRecord, HomAlgebra, Record, max_dim, triple_defects
+from homalg.algebra import is_idempotent_elem, is_idempotent_map, twisted_ops
 from homalg.constructions import ac_unitalized_by_eigenspaces, opposite, opposite_hom
 from homalg.errors import (
     InternalCheckFailure,
@@ -85,7 +85,7 @@ _TRIPLE_ORDER_SEED = 0x7315
 # -- twist space -----------------------------------------------------------------
 
 
-class TwistSpace(Record):
+class TwistSpace(FrozenRecord):
     """All linear maps making the product hom-associative, as a canonical
     subspace of the flattened (row-major) map space plus unflattened basis."""
 
@@ -262,7 +262,7 @@ def _fixed_part(space: Subspace, op: Matrix) -> Subspace:
     return nullspace(space.field, space.ambient_dim, chain(space.complement_rows(), rows))
 
 
-class AcOneSided(Record):
+class AcOneSided(FrozenRecord):
     """The Subspaces ac, ac_unit and ann of ``ac_one_sided`` on one side,
     its unity and whether ac = ac_unit + ann is direct."""
 
@@ -636,7 +636,9 @@ def bijection_report(a: Algebra, side: str = "left") -> dict:
 
 class Check(Record):
     __slots__ = ("name", "status", "detail")  # status: pass | fail | skipped | flagged
-    _defaults = ("",)
+
+    def __init__(self, name, status, detail=""):  # plain stores: one per audit check
+        self.name, self.status, self.detail = name, status, detail
 
 
 class _CheckList(list):
