@@ -35,8 +35,10 @@ the ``hu_t`` rows read the basis operators L_{e_t} and R_{e_t} from the
 tables of ``algebra.twisted_ops`` (``terms`` and its transpose); the
 commuting blocks of ``_op_family`` keep their own sparse accumulator, which
 measured faster than dense ``combine`` plus ``vec_sub``.  The twist solve
-walks its basis triples in one fixed scrambled order, so how many rows it
-needs before the rank certificate stops it does not depend on the basis.
+reads the rows of alpha(e_k) = alpha(e) e_k at a left unity e (or
+e_k alpha(e) at a right one) first, then walks its basis triples in one fixed
+scrambled order, so how many rows it needs before the rank certificate stops
+it does not depend on the basis.
 """
 
 from __future__ import annotations
@@ -131,35 +133,76 @@ def _product_rows(f, n: int, table, prod, cache: dict) -> tuple:
     return rows
 
 
-@lru_cache(maxsize=32)
-def twist_space(a: Algebra) -> TwistSpace:
-    """Kernel, over the n^2 twist entries, of the n^4 hom-associativity
-    equations (e_i e_j) alpha(e_k) = alpha(e_i) (e_j e_k) on basis triples,
-    one row per coordinate m, fed sparsely.  The triples come in
-    ``_triple_order`` and stop at the row that completes the rank: on 16
-    bases of the sedenions, after 22 to 31 of the 4,096 triples.  Each
-    returned basis map is re-checked by the direct triple scan (independent
-    oracle)."""
+def _twist_rows(a: Algebra):
+    """The sparse rows of the twist system, one per coordinate m.  First, for
+    a left unity e, the n^2 rows of alpha(e_k) - alpha(e) e_k = 0, the
+    identity at (e, e, e_k), else for a right unity e those of
+    alpha(e_k) - e_k alpha(e) = 0, at (e_k, e, e): combinations of
+    basis-triple rows, since the identity is trilinear, that leave a kernel
+    of dimension at most n.  Then the rows of
+    (e_i e_j) alpha(e_k) - alpha(e_i)(e_j e_k), triples in ``_triple_order``."""
     n = a.dim
     f = a.field
     terms = a.terms
     left, right = twisted_ops(a)
-    lrows, rrows = {}, {}  # L_{e_i e_j} and R_{e_j e_k}, kept for this solve
-    solver = NullspaceSolver(f, n * n)
-    for i, j, k in _triple_order(n):
-        if solver.full_rank:
+    for side, ops in (("left", right), ("right", left)):  # ops[k][s]: e_s e_k, e_k e_s
+        unities = sub.find_unities(a, side)
+        if not unities.is_empty:
+            es = sparse_entries(unities.particular)
+            for k in range(n):
+                rows = [[(m * n + k, f.one)] for m in range(n)]
+                for s, col in enumerate(ops[k]):
+                    for m, c in col:
+                        rows[m] += [(s * n + t, f.neg(f.mul(c, v))) for t, v in es]
+                yield from rows
             break
+    lrows, rrows = {}, {}  # L_{e_i e_j} and R_{e_j e_k}, kept for this solve
+    for i, j, k in _triple_order(n):
         lu = _product_rows(f, n, left, terms[i][j], lrows)
         rv = _product_rows(f, n, right, terms[j][k], rrows)
         for m in range(n):
             pairs = [(q * n + k, v) for q, v in lu[m]]
             pairs += [(q * n + i, f.neg(w)) for q, w in rv[m]]
             if pairs:
-                solver.add_sparse(pairs)
-    space = solver.solve()
-    maps = tuple(unflatten_matrix(f, n, row) for row in space.basis.rows)
-    for m in maps:
-        if not HomAlgebra(a, m).is_hom_associative():
+                yield pairs
+
+
+def _scanned_maps(a: Algebra, space: Subspace):
+    """The canonical basis maps of ``space``, or None if one fails the direct
+    triple scan (the independent oracle)."""
+    maps = tuple(unflatten_matrix(a.field, a.dim, row) for row in space.basis.rows)
+    return maps if all(HomAlgebra(a, m).is_hom_associative() for m in maps) else None
+
+
+@lru_cache(maxsize=32)
+def twist_space(a: Algebra) -> TwistSpace:
+    """Kernel, over the n^2 twist entries, of the n^4 hom-associativity
+    equations (e_i e_j) alpha(e_k) = alpha(e_i) (e_j e_k) on basis triples,
+    fed sparsely by ``_twist_rows`` (unity rows first) until the rank is
+    certified.  On a two-sided unital algebra each basis map of
+    K = {L_u : u in hu_n(a)} is checked by the direct triple scan
+    (independent oracle); if all pass, K lies in the kernel, so a rank mod p
+    of n^2 - dim K proves the kernel is K (the argument of
+    ``linalg.nullspace(known=)``).  Otherwise the solved basis maps are
+    scanned.  On 16 bases the sedenions reach full rank 4 to 12 triples past
+    their unity rows (23 to 32 without them); the quaternions stop at K
+    after 4 of their 64 triples."""
+    n = a.dim
+    space = maps = None
+    if not sub.find_unities(a, "two_sided").is_empty:
+        ops = [a.left_op(u).flatten() for u in hu_n(a, "two_sided").basis.rows]
+        space = Subspace.from_rows(a.field, n * n, ops)
+        maps = _scanned_maps(a, space)
+    stop = n * n - (space.dim if maps is not None else 0)
+    solver = NullspaceSolver(a.field, n * n)
+    for pairs in _twist_rows(a):
+        solver.add_sparse(pairs)
+        if solver.rank == stop:
+            break
+    if maps is None or solver.rank != stop:
+        space = solver.solve()
+        maps = _scanned_maps(a, space)
+        if maps is None:
             raise InternalCheckFailure("twist-space basis map failed the direct scan")
     return TwistSpace(a, space, maps)
 

@@ -9,6 +9,7 @@ from homalg import homstruct, leibniz, subspaces
 from homalg.algebra import Algebra
 from homalg.constructions import cayley_dickson_chain
 from homalg.fields import GF, QQ
+from homalg.linalg import Matrix, kernel
 
 # every solver memoized per argument value in a bounded lru_cache
 MEMOIZED = (
@@ -31,6 +32,28 @@ MEMOIZED = (
 def clear_memo():
     for fn in MEMOIZED:
         fn.cache_clear()
+
+
+def reference_twist_space(a):
+    """The twist space as the kernel of all n^4 basis-triple rows, row
+    (i, j, k, m) the e_m coefficient of (e_i e_j) alpha(e_k) - alpha(e_i)(e_j e_k)
+    over the flattened alpha, built from ``a.products``: no unity rows and no
+    early stop, an independent route for ``homstruct.twist_space``."""
+    n, f = a.dim, a.field
+    prods = a.products
+    lops = [[a.left_op(p).rows for p in line] for line in prods]
+    rops = [[a.right_op(p).rows for p in line] for line in prods]
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for m in range(n):
+                    row = [f.zero] * (n * n)
+                    for q in range(n):
+                        row[q * n + k] = f.add(row[q * n + k], lops[i][j][m][q])
+                        row[q * n + i] = f.sub(row[q * n + i], rops[j][k][m][q])
+                    rows.append(row)
+    return kernel(Matrix(f, rows))
 
 
 def permuted(a, seed):

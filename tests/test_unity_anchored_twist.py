@@ -1,0 +1,156 @@
+"""The unity-anchored twist solve: exact on every unity kind, not fooled by a
+wrong hom-unity formula, and bounded in the basis triples it draws."""
+
+import pytest
+
+from conftest import clear_memo, permuted, reference_twist_space
+from homalg import homstruct
+from homalg.campaign import builtin_corpus, generated_algebras
+from homalg.constructions import (
+    GeneratorConfig,
+    cayley_dickson_chain,
+    opposite,
+    random_algebra,
+    unitalize,
+)
+from homalg.errors import InternalCheckFailure
+from homalg.fields import GF, QQ
+from homalg.homstruct import ac_two_sided, twist_space
+from homalg.linalg import Subspace
+from homalg.subspaces import find_unities
+
+
+_CORPUS = builtin_corpus() + generated_algebras(40)
+
+
+def _assert_exact(a):
+    assert twist_space(a).space == reference_twist_space(a)
+
+
+def _kinds(a):
+    """The algebra, its opposite (a right unity where ``a`` has a left one)
+    and its unitalization (two-sided unital)."""
+    return (a, opposite(a), unitalize(a)[0])
+
+
+@pytest.mark.parametrize("a", [a for _, a in _CORPUS], ids=[name for name, _ in _CORPUS])
+def test_twist_space_matches_reference_on_every_unity_kind(a):
+    for b in _kinds(a):
+        _assert_exact(b)
+
+
+def test_unity_kinds_are_all_exercised():
+    # the corpus reaches every branch: left-only, right-only, two-sided, none
+    kinds = set()
+    for _, a in _CORPUS:
+        for b in _kinds(a):
+            kinds.add(tuple(not find_unities(b, s).is_empty for s in ("left", "right")))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(65521)], ids=str)
+def test_twist_space_matches_reference_on_cayley_dickson(field):
+    for level in cayley_dickson_chain(3, field=field)[1:]:
+        _assert_exact(level.base)
+        _assert_exact(permuted(level.base, 1))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+def test_twist_space_matches_reference_on_random_left_unital(field):
+    for dim in range(1, 6):
+        for seed in range(3):
+            a = random_algebra(GeneratorConfig(seed=seed, dim=dim, field=field, flag="left_unital"))
+            _assert_exact(a)
+            _assert_exact(permuted(a, seed + 1))
+
+
+# -- a wrong hom-unity formula --------------------------------------------------------
+
+
+def _two_sided_cases():
+    quaternions = cayley_dickson_chain(2)[2].base
+    projection_tilde = unitalize(builtin_corpus()[0][1])[0]
+    return [quaternions, unitalize(quaternions)[0], projection_tilde]
+
+
+def _wrong_formulas(a):
+    """The full space, the zero space, a line outside the true hu_n and,
+    where hu_n has dimension 2 or more, a proper subspace of it."""
+    f, n = a.field, a.dim
+    true = homstruct.hu_n(a, "two_sided")
+    outside = next(a.basis(i) for i in range(n) if not true.contains(a.basis(i)))
+    wrong = [Subspace.full(f, n), Subspace.zero(f, n), Subspace.from_rows(f, n, [outside])]
+    if true.dim >= 2:
+        wrong.append(Subspace.from_rows(f, n, true.basis.rows[:1]))
+    return [w for w in wrong if w != true]
+
+
+def test_wrong_formula_cases_cover_nonzero_and_larger_hu_n():
+    dims = [homstruct.hu_n(a, "two_sided").dim for a in _two_sided_cases()]
+    assert dims[0] == 1 and max(dims) >= 2
+    assert all(not find_unities(a, "two_sided").is_empty for a in _two_sided_cases())
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_wrong_hu_n_cannot_fool_the_certified_stop(case, monkeypatch):
+    a = _two_sided_cases()[case]
+    reference = reference_twist_space(a)
+    wrong = _wrong_formulas(a)
+    assert len(wrong) >= 3
+    try:
+        for w in wrong:
+            clear_memo()
+            monkeypatch.setattr(homstruct, "hu_n", lambda a, variant="two_sided", w=w: w)
+            assert twist_space(a).space == reference
+            with pytest.raises(InternalCheckFailure):
+                ac_two_sided(a)
+            monkeypatch.undo()
+    finally:
+        clear_memo()
+    assert twist_space(a).space == reference
+    assert ac_two_sided(a) == homstruct.hu_n(a, "two_sided")
+
+
+# -- the work bound -------------------------------------------------------------------
+
+
+def _triples_drawn(a, monkeypatch):
+    """Solves the twist space of ``a`` cold and counts the basis triples drawn."""
+    drawn = []
+    order = homstruct._triple_order
+
+    def counting(n):
+        for t in order(n):
+            drawn.append(t)
+            yield t
+
+    clear_memo()
+    monkeypatch.setattr(homstruct, "_triple_order", counting)
+    try:
+        ts = twist_space(a)
+    finally:
+        monkeypatch.undo()
+        clear_memo()
+    return ts, len(drawn)
+
+
+def test_quaternions_and_their_unitalization_stop_at_the_formula(monkeypatch):
+    # measured: 4 of 64 and 4 of 125 triples; without the unity rows and the
+    # certified stop both read every triple
+    quaternions = cayley_dickson_chain(2)[2].base
+    for a, limit in ((quaternions, 6), (unitalize(quaternions)[0], 6)):
+        ts, drawn = _triples_drawn(a, monkeypatch)
+        assert ts.space == reference_twist_space(a)
+        assert ts.dim >= 1
+        assert drawn <= limit < a.dim**3
+
+
+@pytest.mark.parametrize("field", [QQ, GF(65521)], ids=str)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sedenions_draw_few_triples_past_the_unity_rows(field, seed, monkeypatch):
+    # measured: 5, 5 and 6 triples on seeds 0, 1, 2 over both fields, down
+    # from 29, 32 and 23 without the unity rows
+    sedenions = permuted(cayley_dickson_chain(4, field=field)[4].base, seed)
+    ts, drawn = _triples_drawn(sedenions, monkeypatch)
+    assert ts.dim == 0
+    assert drawn <= 8
