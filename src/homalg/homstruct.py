@@ -2,43 +2,38 @@
 families, and the one- and two-sided structure theorems with their
 verification machinery.
 
-Everything here reduces to exact kernel computations, one system per
-defining identity; ``hu_t`` and the multiplier spaces reuse solved
-subspaces instead, and a test that an operator is injective is one packed
+Everything here reduces to exact kernel computations.  The twist system
+(e_i e_j) alpha(e_k) = alpha(e_i)(e_j e_k) has one row family,
+``_twist_rows``, sparse rows built from ``Algebra.terms`` through the tables
+of ``algebra.twisted_ops`` (never from dense operator products), its basis
+triples in one fixed scrambled order, so the rows read before the rank
+certificate stops a solve do not depend on the basis.  With a left unity e
+every twist is alpha = L_{alpha(e)} (R_{alpha(f)} at a right unity f), so
+``hu_t`` on that side solves these rows projected onto x -> L_x (or R_x) in
+n unknowns and the twist space is the image of its kernel; without a unity
+the rows are solved in the n^2 twist entries, and ``hu_t`` is the preimage
+of the twist space, solved against its complement rows.  Every meet is one
+stacked solve, and a test that an operator is injective is one packed
 modular rank pass (``linalg.is_injective``; for L_x and R_x,
-``Algebra.op_is_injective``, which builds no matrix).  ``hu_t`` is the
-preimage of the twist space under x -> L_x (or R_x), solved in n unknowns
-against the twist space's complement rows, and every meet is one stacked
-solve.  ``ac_l_subspace`` is defined by
-a(xy) = x(ay) and (ax)(yz) = a((xy)z); the first on the pair (xy, z) gives
-a((xy)z) = (xy)(az), so given the first the second says that L_a is a twist:
-the space is one solve over the complement rows of ``hu_t(a, "left")`` and
-the rows of the first identity.  Basis-triple scans read the table of
-nonzero basis associators ``Algebra.associators``, where a missing triple
-is a zero associator.  That table, the hom-associativity witness and the
-relation row ``m2`` all come from ``algebra.triple_defects``, one scan that
-skips a triple whose two products are zero.  Right-sided results are solved
-on the algebra itself with ``side="right"``: an algebra and its opposite
-have the same twist space, since (xy)alpha(z) = alpha(x)(yz) on (x, y, z)
-is the opposite's identity on (z, y, x), and R_x is L_x of the opposite, so
-one twist system serves both sides.  The solvers returning a subspace are
-memoized per algebra value in bounded lru caches, so each result must stay
-immutable: a Subspace or Matrix by convention, the records ``TwistSpace``
-and ``AcOneSided`` (``algebra.FrozenRecord``) by a ``__setattr__`` that
-raises; nothing returning an Algebra is cached, because Algebra equality
-ignores the basis labels.  A unity passed in by a caller is checked by
-membership in the memoized ``find_unities`` set of its side.
-
-Every constraint row is assembled from the sparse product table
-``Algebra.terms``, never from dense operator products.  The twist rows and
-the ``hu_t`` rows read the basis operators L_{e_t} and R_{e_t} from the
-tables of ``algebra.twisted_ops`` (``terms`` and its transpose); the
-commuting blocks of ``_op_family`` keep their own sparse accumulator, which
-measured faster than dense ``combine`` plus ``vec_sub``.  The twist solve
-reads the rows of alpha(e_k) = alpha(e) e_k at a left unity e (or
-e_k alpha(e) at a right one) first, then walks its basis triples in one fixed
-scrambled order, so how many rows it needs before the rank certificate stops
-it does not depend on the basis.
+``Algebra.op_is_injective``, which builds no matrix).  ``ac_l_subspace`` is
+defined by a(xy) = x(ay) and (ax)(yz) = a((xy)z); the first on the pair
+(xy, z) gives a((xy)z) = (xy)(az), so given the first the second says that
+L_a is a twist: the space is one solve over the complement rows of
+``hu_t(a, "left")`` and the rows of the first identity, whose sparse blocks
+``_op_family`` builds (faster than dense ``combine`` plus ``vec_sub``).
+Basis-triple scans read the table of nonzero basis associators
+``Algebra.associators``; that table, the hom-associativity witness and the
+relation row ``m2`` all come from ``algebra.triple_defects``.  Right-sided
+results are solved on the algebra itself with ``side="right"``: an algebra
+and its opposite have the same twist space, since (xy)alpha(z) =
+alpha(x)(yz) on (x, y, z) is the opposite's identity on (z, y, x), and R_x
+is L_x of the opposite.  The solvers returning a subspace are memoized per
+algebra value in bounded lru caches, so each result must stay immutable: a
+Subspace or Matrix by convention, the records ``TwistSpace`` and
+``AcOneSided`` (``algebra.FrozenRecord``) by a ``__setattr__`` that raises;
+nothing returning an Algebra is cached, because Algebra equality ignores the
+basis labels.  A unity passed in by a caller is checked by membership in the
+memoized ``find_unities`` set of its side.
 """
 
 from __future__ import annotations
@@ -134,28 +129,13 @@ def _product_rows(f, n: int, table, prod, cache: dict) -> tuple:
 
 
 def _twist_rows(a: Algebra):
-    """The sparse rows of the twist system, one per coordinate m.  First, for
-    a left unity e, the n^2 rows of alpha(e_k) - alpha(e) e_k = 0, the
-    identity at (e, e, e_k), else for a right unity e those of
-    alpha(e_k) - e_k alpha(e) = 0, at (e_k, e, e): combinations of
-    basis-triple rows, since the identity is trilinear, that leave a kernel
-    of dimension at most n.  Then the rows of
-    (e_i e_j) alpha(e_k) - alpha(e_i)(e_j e_k), triples in ``_triple_order``."""
+    """The sparse rows of the twist system over the flattened alpha: for each
+    basis triple in ``_triple_order``, the n rows (one per coordinate m) of
+    (e_i e_j) alpha(e_k) - alpha(e_i)(e_j e_k) = 0."""
     n = a.dim
     f = a.field
     terms = a.terms
     left, right = twisted_ops(a)
-    for side, ops in (("left", right), ("right", left)):  # ops[k][s]: e_s e_k, e_k e_s
-        unities = sub.find_unities(a, side)
-        if not unities.is_empty:
-            es = sparse_entries(unities.particular)
-            for k in range(n):
-                rows = [[(m * n + k, f.one)] for m in range(n)]
-                for s, col in enumerate(ops[k]):
-                    for m, c in col:
-                        rows[m] += [(s * n + t, f.neg(f.mul(c, v))) for t, v in es]
-                yield from rows
-            break
     lrows, rrows = {}, {}  # L_{e_i e_j} and R_{e_j e_k}, kept for this solve
     for i, j, k in _triple_order(n):
         lu = _product_rows(f, n, left, terms[i][j], lrows)
@@ -167,9 +147,18 @@ def _twist_rows(a: Algebra):
                 yield pairs
 
 
+def _op_space(a: Algebra, side: str, space: Subspace) -> Subspace:
+    """The span of the flattened L_b (``side`` "left") or R_b, b over the
+    basis of ``space``: its image under x -> L_x (or R_x)."""
+    op = a.left_op if side == "left" else a.right_op
+    return Subspace.from_rows(a.field, a.dim * a.dim, [op(b).flatten() for b in space.basis.rows])
+
+
+@lru_cache(maxsize=8)
 def _scanned_maps(a: Algebra, space: Subspace):
     """The canonical basis maps of ``space``, or None if one fails the direct
-    triple scan (the independent oracle)."""
+    triple scan (the independent oracle).  Memoized, so maps that certified a
+    known ``hu_t`` kernel are not scanned again as the twist space's basis."""
     maps = tuple(unflatten_matrix(a.field, a.dim, row) for row in space.basis.rows)
     return maps if all(HomAlgebra(a, m).is_hom_associative() for m in maps) else None
 
@@ -177,43 +166,42 @@ def _scanned_maps(a: Algebra, space: Subspace):
 @lru_cache(maxsize=32)
 def twist_space(a: Algebra) -> TwistSpace:
     """Kernel, over the n^2 twist entries, of the n^4 hom-associativity
-    equations (e_i e_j) alpha(e_k) = alpha(e_i) (e_j e_k) on basis triples,
-    fed sparsely by ``_twist_rows`` (unity rows first) until the rank is
-    certified.  On a two-sided unital algebra each basis map of
-    K = {L_u : u in hu_n(a)} is checked by the direct triple scan
-    (independent oracle); if all pass, K lies in the kernel, so a rank mod p
-    of n^2 - dim K proves the kernel is K (the argument of
-    ``linalg.nullspace(known=)``).  Otherwise the solved basis maps are
-    scanned.  On 16 bases the sedenions reach full rank 4 to 12 triples past
-    their unity rows (23 to 32 without them); the quaternions stop at K
-    after 4 of their 64 triples."""
+    equations (e_i e_j) alpha(e_k) = alpha(e_i) (e_j e_k) on basis triples.
+    With a left unity e every twist is L_{alpha(e)} (R_{alpha(f)} at a right
+    unity f), so this is the image of ``hu_t`` on that side under x -> L_x
+    (or R_x); without a unity, ``_twist_rows`` feed one solve until full
+    rank.  Every basis map then passes the direct triple scan (independent
+    oracle).  On 16 bases the sedenions reach full rank after 4 to 12
+    triples; the quaternions stop at hu_n after 4 of their 64."""
     n = a.dim
-    space = maps = None
-    if not sub.find_unities(a, "two_sided").is_empty:
-        ops = [a.left_op(u).flatten() for u in hu_n(a, "two_sided").basis.rows]
-        space = Subspace.from_rows(a.field, n * n, ops)
-        maps = _scanned_maps(a, space)
-    stop = n * n - (space.dim if maps is not None else 0)
-    solver = NullspaceSolver(a.field, n * n)
-    for pairs in _twist_rows(a):
-        solver.add_sparse(pairs)
-        if solver.rank == stop:
+    for side in ("left", "right"):
+        if not sub.find_unities(a, side).is_empty:
+            space = _op_space(a, side, hu_t(a, side))
             break
-    if maps is None or solver.rank != stop:
+    else:
+        solver = NullspaceSolver(a.field, n * n)
+        for pairs in _twist_rows(a):
+            solver.add_sparse(pairs)
+            if solver.full_rank:
+                break
         space = solver.solve()
-        maps = _scanned_maps(a, space)
-        if maps is None:
-            raise InternalCheckFailure("twist-space basis map failed the direct scan")
+    maps = _scanned_maps(a, space)
+    if maps is None:
+        raise InternalCheckFailure("twist-space basis map failed the direct scan")
     return TwistSpace(a, space, maps)
 
 
 @lru_cache(maxsize=32)
 def hu_t(a: Algebra, side: str = "left") -> Subspace:
     """Multipliers whose one-sided multiplication operator is a twist making
-    the product hom-associative: the preimage of the twist space under the
-    linear map x -> L_x (or R_x).  L_x lies in the twist space exactly when
-    it is orthogonal to each of its complement rows w, so this is the kernel
-    in x of the rows sum_s x_s <w, L_{e_s}>, fed until full rank."""
+    the product hom-associative: the preimage of the twist space under
+    x -> L_x (or R_x), solved in the n unknowns x, a row w over the flattened
+    maps read as sum_s x_s <w, L_{e_s}>.  With a unity on ``side`` every twist
+    is such an operator, so the rows are those of ``_twist_rows``; on a
+    two-sided unital algebra hu_n(a) is the ``known`` kernel of
+    ``linalg.nullspace`` once the basis maps of its operators pass the direct
+    triple scan.  On a side without a unity the rows are the twist space's
+    complement rows."""
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
     n = a.dim
@@ -225,8 +213,15 @@ def hu_t(a: Algebra, side: str = "left") -> Subspace:
         for t, col in enumerate(cols):
             for q, c in col:
                 op_of[q * n + t].append((s, c))
-    rows = twist_space(a).space.complement_rows()
-    return nullspace(f, n, (combine(f, n, op_of, sparse_entries(w)) for w in rows))
+    known = None
+    if sub.find_unities(a, side).is_empty:
+        rows = map(sparse_entries, twist_space(a).space.complement_rows())
+    else:
+        rows = _twist_rows(a)
+        if not sub.find_unities(a, "two_sided").is_empty:
+            hu = hu_n(a, "two_sided")
+            known = hu if _scanned_maps(a, _op_space(a, side, hu)) is not None else None
+    return nullspace(f, n, (combine(f, n, op_of, w) for w in rows), known=known)
 
 
 # -- operator-product families (assembly helpers) -----------------------------------

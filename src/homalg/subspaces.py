@@ -8,8 +8,9 @@ missing triple being a zero associator.  A one-identity solve is one
 ``linalg.nullspace`` over its constraint blocks, each block built only when
 the solve reaches it; a slot nucleus passes the span of its unities as a
 known part of the kernel, so its solve stops once nothing else can fit.  The
-full nucleus and the two-sided annihilator are meets of such solves.  The subspace and unity solvers are memoized per
-argument value in bounded lru caches, so their results must stay immutable.
+full nucleus and the two-sided annihilator are meets of such solves.  The
+subspace and unity solvers are memoized per argument value in bounded lru
+caches, so their results must stay immutable.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ MEMOIZED = (
     subspaces.span_of,
     subspaces.find_unities,
     homstruct.twist_space,
+    homstruct._scanned_maps,
     homstruct._op_family,
     homstruct.hu_t,
     homstruct.ac_l_subspace,
@@ -37,8 +38,8 @@ def clear_memo():
 def reference_twist_space(a):
     """The twist space as the kernel of all n^4 basis-triple rows, row
     (i, j, k, m) the e_m coefficient of (e_i e_j) alpha(e_k) - alpha(e_i)(e_j e_k)
-    over the flattened alpha, built from ``a.products``: no unity rows and no
-    early stop, an independent route for ``homstruct.twist_space``."""
+    over the flattened alpha, built from ``a.products``: all n^2 unknowns and
+    no early stop, an independent route for ``homstruct.twist_space``."""
     n, f = a.dim, a.field
     prods = a.products
     lops = [[a.left_op(p).rows for p in line] for line in prods]

@@ -106,7 +106,7 @@ def test_twist_space_nil2_f2_exhaustive_oracle():
 
 def test_twist_space_two_pass_per_triple_meet():
     # independent route: the kernel of every basis-triple row of the
-    # flattened maps, with no unity rows and no early stop
+    # flattened maps in all n^2 unknowns, with no early stop
     a = qalg(projection_tensor(2))
     assert reference_twist_space(a) == twist_space(a).space
 

@@ -3,7 +3,9 @@
 ``output_digests.json`` holds the SHA-256 of the algebra files that
 ``cayley-dickson`` emits at levels 2 and 3 over Q, GF(65521) and GF(2), and
 that ``poly`` emits for ``--degree 8`` and ``--degree 6 --with-constants``
-(sparse products, where the basis-triple scans skip most triples); the exit
+(sparse products, where the basis-triple scans skip most triples), and the
+file ``random --dim 2 --seed 13 --left-unital`` emits over Q with its
+``opposite`` (a left unity only, then a right unity only); the exit
 code and the stdout SHA-256 of ``analyze``, ``twist-space``,
 ``ac --side left|right|two``, ``leibniz`` and ``leibniz --left-mult 1`` on
 each of those files; and the same of ``campaign --seeds 200``.  A change
@@ -51,6 +53,11 @@ POLY_FILES = (
     ("poly8_Q.json", ["poly", "--degree", "8"]),
     ("poly6c_Q.json", ["poly", "--degree", "6", "--with-constants"]),
 )
+# a file argument names a file emitted before it
+ONE_SIDED_FILES = (
+    ("rand13lu_Q.json", ["random", "--dim", "2", "--seed", "13", "--left-unital"]),
+    ("rand13lu_op_Q.json", ["opposite", "rand13lu_Q.json"]),
+)
 
 
 def _files():
@@ -59,13 +66,14 @@ def _files():
         (f"cd{level}_{tag}.json", ["cayley-dickson", "--levels", str(level), "--field", field])
         for level in LEVELS
         for field, tag in FIELDS.items()
-    ] + list(POLY_FILES)
+    ] + list(POLY_FILES) + list(ONE_SIDED_FILES)
 
 
 def _emit_files(directory: Path) -> dict:
     """Emit every file of ``_files()`` into ``directory``; name -> SHA-256."""
     digests = {}
     for name, argv in _files():
+        argv = [str(directory / x) if x.endswith(".json") else x for x in argv]
         _run(argv + ["-o", str(directory / name)])
         digests[name] = _sha256((directory / name).read_bytes())
     return digests

@@ -1,10 +1,12 @@
 """The unity-anchored twist solve: exact on every unity kind, not fooled by a
-wrong hom-unity formula, and bounded in the basis triples it draws."""
+wrong hom-unity formula, bounded in the basis triples it draws, and solved in
+n unknowns on the side of a unity."""
 
 import pytest
 
 from conftest import clear_memo, permuted, reference_twist_space
 from homalg import homstruct
+from homalg.algebra import HomAlgebra
 from homalg.campaign import builtin_corpus, generated_algebras
 from homalg.constructions import (
     GeneratorConfig,
@@ -15,8 +17,8 @@ from homalg.constructions import (
 )
 from homalg.errors import InternalCheckFailure
 from homalg.fields import GF, QQ
-from homalg.homstruct import ac_two_sided, twist_space
-from homalg.linalg import Subspace
+from homalg.homstruct import ac_two_sided, hu_t, twist_space
+from homalg.linalg import Matrix, NullspaceSolver, Subspace, kernel
 from homalg.subspaces import find_unities
 
 
@@ -25,6 +27,16 @@ _CORPUS = builtin_corpus() + generated_algebras(40)
 
 def _assert_exact(a):
     assert twist_space(a).space == reference_twist_space(a)
+
+
+def _reference_hu_t(a, side, twist):
+    """The preimage of ``twist`` under x -> L_x (or R_x), densely: the kernel
+    of perp(twist) times the matrix whose column s is the flattened L_{e_s}."""
+    if twist.is_full():
+        return Subspace.full(a.field, a.dim)
+    op = a.left_op if side == "left" else a.right_op
+    op_of = Matrix.from_columns(a.field, [op(a.basis(s)).flatten() for s in range(a.dim)])
+    return kernel(twist.perp().basis.matmul(op_of))
 
 
 def _kinds(a):
@@ -37,6 +49,9 @@ def _kinds(a):
 def test_twist_space_matches_reference_on_every_unity_kind(a):
     for b in _kinds(a):
         _assert_exact(b)
+        reference = reference_twist_space(b)
+        for side in ("left", "right"):
+            assert hu_t(b, side) == _reference_hu_t(b, side, reference)
 
 
 def test_unity_kinds_are_all_exercised():
@@ -135,8 +150,8 @@ def _triples_drawn(a, monkeypatch):
 
 
 def test_quaternions_and_their_unitalization_stop_at_the_formula(monkeypatch):
-    # measured: 4 of 64 and 4 of 125 triples; without the unity rows and the
-    # certified stop both read every triple
+    # measured: 4 of 64 and 4 of 125 triples; without the n-unknown solve and
+    # its certified stop at hu_n both read every triple
     quaternions = cayley_dickson_chain(2)[2].base
     for a, limit in ((quaternions, 6), (unitalize(quaternions)[0], 6)):
         ts, drawn = _triples_drawn(a, monkeypatch)
@@ -149,8 +164,114 @@ def test_quaternions_and_their_unitalization_stop_at_the_formula(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sedenions_draw_few_triples_past_the_unity_rows(field, seed, monkeypatch):
     # measured: 5, 5 and 6 triples on seeds 0, 1, 2 over both fields, down
-    # from 29, 32 and 23 without the unity rows
+    # from 29, 32 and 23 in the n^2 unknowns of a twist solve without a unity
     sedenions = permuted(cayley_dickson_chain(4, field=field)[4].base, seed)
     ts, drawn = _triples_drawn(sedenions, monkeypatch)
     assert ts.dim == 0
     assert drawn <= 8
+
+
+@pytest.mark.parametrize("field", [QQ, GF(65521)], ids=str)
+def test_sedenion_draws_stay_bounded_on_16_bases(field, monkeypatch):
+    # the n-unknown solve sees the triples in the fixed scrambled order, so
+    # the work does not follow the basis: measured 4 to 12 triples
+    base = cayley_dickson_chain(4, field=field)[4].base
+    drawn = [_triples_drawn(permuted(base, seed), monkeypatch)[1] for seed in range(16)]
+    assert max(drawn) <= 12, drawn
+
+
+# -- one row family: n unknowns on the side of a unity ---------------------------------
+
+
+def _one_sided_cases():
+    """``(algebra, side of its unity)``: two-sided, left-only and right-only
+    unital algebras, the sedenions over Q and GF(65521)."""
+    quaternions = cayley_dickson_chain(2)[2].base
+    left_only = random_algebra(GeneratorConfig(seed=13, dim=2, field=QQ, flag="left_unital"))
+    projection = builtin_corpus()[0][1]  # every e_i is a left unity
+    cases = [(quaternions, "left"), (left_only, "left"), (opposite(left_only), "right")]
+    cases += [(projection, "left"), (opposite(projection), "right")]
+    cases += [(cayley_dickson_chain(4, field=f)[4].base, "left") for f in (QQ, GF(65521))]
+    return cases
+
+
+def test_one_sided_cases_cover_each_unity_kind():
+    kinds = set()
+    for a, side in _one_sided_cases():
+        assert not find_unities(a, side).is_empty
+        kinds.add(tuple(not find_unities(a, s).is_empty for s in ("left", "right")))
+    assert kinds == {(True, True), (True, False), (False, True)}
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_hu_t_on_the_unity_side_solves_no_twist_space(case):
+    a, side = _one_sided_cases()[case]
+    clear_memo()
+    try:
+        hu = hu_t(a, side)
+        assert homstruct.twist_space.cache_info().misses == 0
+    finally:
+        clear_memo()
+    assert hu == _reference_hu_t(a, side, reference_twist_space(a))
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_twist_space_builds_no_twist_system_in_n_squared_unknowns(case, monkeypatch):
+    # an n^2-column solver holds only the flattened L_b (or R_b), b in the
+    # basis of hu_t on the unity side: the span whose canonical basis is the
+    # twist space's
+    a, side = _one_sided_cases()[case]
+    nn = a.dim**2
+    offered = []
+    add_dense, add_sparse = NullspaceSolver.add_dense, NullspaceSolver.add_sparse
+
+    def dense(self, row):
+        if self.ncols == nn:
+            offered.append(tuple(row))
+        return add_dense(self, row)
+
+    def sparse(self, pairs):
+        pairs = list(pairs)
+        if self.ncols == nn:
+            offered.append(("sparse", tuple(pairs)))
+        return add_sparse(self, pairs)
+
+    clear_memo()
+    monkeypatch.setattr(NullspaceSolver, "add_dense", dense)
+    monkeypatch.setattr(NullspaceSolver, "add_sparse", sparse)
+    try:
+        ts = twist_space(a)
+    finally:
+        monkeypatch.undo()
+        clear_memo()
+    op = a.left_op if side == "left" else a.right_op
+    maps = {op(b).flatten() for b in hu_t(a, side).basis.rows}
+    assert set(offered) <= maps
+    assert ts.space == reference_twist_space(a)
+
+
+def test_twist_space_scans_each_basis_map_once(monkeypatch):
+    # the maps that certify hu_n as hu_t's kernel are the twist space's basis
+    # maps, scanned once for both; with one unity the scan is the only oracle
+    quaternions = cayley_dickson_chain(2)[2].base
+    left_only = random_algebra(GeneratorConfig(seed=13, dim=2, field=QQ, flag="left_unital"))
+    cases = [(quaternions, 1), (unitalize(quaternions)[0], 2)]
+    cases += [(left_only, 1), (opposite(left_only), 1)]
+    cases += [(cayley_dickson_chain(4, field=f)[4].base, 0) for f in (QQ, GF(65521))]
+    scan = HomAlgebra.is_hom_associative
+    for a, dim in cases:
+        calls = []
+
+        def counting(self):
+            calls.append(self)
+            return scan(self)
+
+        clear_memo()
+        monkeypatch.setattr(HomAlgebra, "is_hom_associative", counting)
+        try:
+            ts = twist_space(a)
+        finally:
+            monkeypatch.undo()
+            clear_memo()
+        assert ts.dim == dim
+        assert len(calls) == dim
