@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import os
 from array import array
+from fractions import Fraction
 from math import lcm
 
 from homalg import kernels
 from homalg.errors import DimensionMismatch, InvariantViolation
-from homalg.fields import QQ, Field, PrimeField
+from homalg.fields import QQ, Field, PrimeField, _integral
 from homalg.linalg import (
     Matrix,
     basis_vector,
@@ -97,6 +98,13 @@ class Algebra:
             # residues in [0, p), so equal algebras have equal tensors
             p = field.p
             tensor = [[[v % p for v in col] for col in row] for row in tensor]
+        elif field == QQ:
+            # an integral Fraction as its int numerator (the ``fields``
+            # convention), so integer-constant products stay in int arithmetic
+            tensor = [
+                [[_integral(v) if type(v) is Fraction else v for v in col] for col in row]
+                for row in tensor
+            ]
         tensor = tuple(tuple(tuple(col) for col in row) for row in tensor)
         n = len(tensor)
         check_dim(n)

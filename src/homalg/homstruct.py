@@ -7,12 +7,13 @@ Everything here reduces to exact kernel computations.  The twist system
 ``_twist_rows``, sparse rows built from ``Algebra.terms`` through the tables
 of ``algebra.twisted_ops`` (never from dense operator products), its basis
 triples in one fixed scrambled order, so the rows read before the rank
-certificate stops a solve do not depend on the basis.  With a left unity e
-every twist is alpha = L_{alpha(e)} (R_{alpha(f)} at a right unity f), so
-``hu_t`` on that side solves these rows projected onto x -> L_x (or R_x) in
-n unknowns and the twist space is the image of its kernel; without a unity
-the rows are solved in the n^2 twist entries, and ``hu_t`` is the preimage
-of the twist space, solved against its complement rows.  Every meet is one
+certificate stops a solve do not depend on the basis.  ``hu_t`` on either
+side solves these rows projected onto x -> L_x (or R_x) in n unknowns, with
+``known=hu_n(a, side)`` once the operators of hu_n pass the direct triple
+scan.  With a left unity e every twist is alpha = L_{alpha(e)}
+(R_{alpha(f)} at a right unity f), so the twist space is the image of that
+kernel; without a unity the rows are solved in the n^2 twist entries.  Only
+``twist_space`` asks whether a unity exists.  Every meet is one
 stacked solve, and a test that an operator is injective is one packed
 modular rank pass (``linalg.is_injective``; for L_x and R_x,
 ``Algebra.op_is_injective``, which builds no matrix).  ``ac_l_subspace`` is
@@ -158,7 +159,8 @@ def _op_space(a: Algebra, side: str, space: Subspace) -> Subspace:
 def _scanned_maps(a: Algebra, space: Subspace):
     """The canonical basis maps of ``space``, or None if one fails the direct
     triple scan (the independent oracle).  Memoized, so maps that certified a
-    known ``hu_t`` kernel are not scanned again as the twist space's basis."""
+    known ``hu_t`` kernel are not scanned again as the twist space's basis or
+    by the audit's hu_t member check."""
     maps = tuple(unflatten_matrix(a.field, a.dim, row) for row in space.basis.rows)
     return maps if all(HomAlgebra(a, m).is_hom_associative() for m in maps) else None
 
@@ -194,14 +196,12 @@ def twist_space(a: Algebra) -> TwistSpace:
 @lru_cache(maxsize=32)
 def hu_t(a: Algebra, side: str = "left") -> Subspace:
     """Multipliers whose one-sided multiplication operator is a twist making
-    the product hom-associative: the preimage of the twist space under
-    x -> L_x (or R_x), solved in the n unknowns x, a row w over the flattened
-    maps read as sum_s x_s <w, L_{e_s}>.  With a unity on ``side`` every twist
-    is such an operator, so the rows are those of ``_twist_rows``; on a
-    two-sided unital algebra hu_n(a) is the ``known`` kernel of
+    the product hom-associative: the rows of ``_twist_rows`` on alpha = L_x
+    (or R_x), solved in the n unknowns x, a row w over the flattened maps read
+    as sum_s x_s <w, L_{e_s}>.  That is the defining system of hu_t, with or
+    without a unity.  hu_n(a, side) is the ``known`` kernel of
     ``linalg.nullspace`` once the basis maps of its operators pass the direct
-    triple scan.  On a side without a unity the rows are the twist space's
-    complement rows."""
+    triple scan."""
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
     n = a.dim
@@ -213,15 +213,9 @@ def hu_t(a: Algebra, side: str = "left") -> Subspace:
         for t, col in enumerate(cols):
             for q, c in col:
                 op_of[q * n + t].append((s, c))
-    known = None
-    if sub.find_unities(a, side).is_empty:
-        rows = map(sparse_entries, twist_space(a).space.complement_rows())
-    else:
-        rows = _twist_rows(a)
-        if not sub.find_unities(a, "two_sided").is_empty:
-            hu = hu_n(a, "two_sided")
-            known = hu if _scanned_maps(a, _op_space(a, side, hu)) is not None else None
-    return nullspace(f, n, (combine(f, n, op_of, w) for w in rows), known=known)
+    hu = hu_n(a, side)
+    known = hu if _scanned_maps(a, _op_space(a, side, hu)) is not None else None
+    return nullspace(f, n, (combine(f, n, op_of, w) for w in _twist_rows(a)), known=known)
 
 
 # -- operator-product families (assembly helpers) -----------------------------------
@@ -863,10 +857,7 @@ def structure_theorem_audit(a: Algebra, unitalize_limit: int = 8) -> HomStructur
         op = a.left_op if side_name == "left" else a.right_op
         record(
             f"hu_t_{side_name}_members_compatible",
-            all(
-                HomAlgebra(a, op(v)).is_hom_associative()
-                for v in space.basis.rows
-            ),
+            _scanned_maps(a, _op_space(a, side_name, space)) is not None,
         )
         ray_v = _complement_ray(space)
         if ray_v is None:

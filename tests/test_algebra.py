@@ -296,6 +296,20 @@ def test_prime_field_entries_are_reduced():
     assert hash(g) == hash(h)
 
 
+def test_integral_rationals_are_held_as_ints():
+    # qalg builds every constant as a Fraction; the integral ones are stored
+    # as their numerators, a true fraction stays a Fraction
+    tensor = [[[0, 1], [2, 0]], [[-3, 0], [0, 4]]]
+    a, b = qalg(tensor), Algebra(QQ, tensor)
+    entries = [v for row in a.tensor for col in row for v in col]
+    assert {type(v) for v in entries} == {int}
+    assert {type(c) for row in a.terms for pairs in row for _, c in pairs} == {int}
+    assert a == b
+    assert hash(a) == hash(b)
+    half = Algebra(QQ, [[[F(1, 2)]]])
+    assert type(half.tensor[0][0][0]) is F
+
+
 @pytest.mark.parametrize("name,a", CORPUS, ids=[n for n, _ in CORPUS])
 def test_hom_associativity_witness_is_first_nonzero_triple(name, a):
     basis = a.basis_elements()

@@ -671,6 +671,37 @@ def test_audit_computes_each_subspace_once(octonions):
     assert all(fn.cache_info().maxsize is not None for fn in MEMOIZED)
 
 
+@pytest.mark.parametrize(
+    "name,scans",
+    [
+        ("builtin/quaternions", 8),
+        ("builtin/poly_t_deg6", 29),
+        ("builtin/nil2", 8),
+        ("builtin/projection2", 6),
+    ],
+)
+def test_audit_scans_the_certifying_maps_once(name, scans, monkeypatch):
+    # the hu_t member check reads the memoized scan of the maps that
+    # certified hu_n as hu_t's kernel (10, 36, 11 and 8 scans when the audit
+    # scanned them again)
+    a = dict(builtin_corpus())[name]
+    calls = []
+    scan = HomAlgebra.is_hom_associative
+
+    def counting(self):
+        calls.append(self)
+        return scan(self)
+
+    clear_memo()
+    monkeypatch.setattr(HomAlgebra, "is_hom_associative", counting)
+    try:
+        structure_theorem_audit(a)
+    finally:
+        monkeypatch.undo()
+        clear_memo()
+    assert len(calls) == scans
+
+
 def test_memo_list_names_every_cache():
     # clear_memo() must reach every cache, or a "cold" timing runs warm
     found = {}

@@ -1,6 +1,7 @@
 """The unity-anchored twist solve: exact on every unity kind, not fooled by a
 wrong hom-unity formula, bounded in the basis triples it draws, and solved in
-n unknowns on the side of a unity."""
+n unknowns on the side of a unity; ``hu_t`` on a side without a unity solves
+no twist space either."""
 
 import pytest
 
@@ -18,6 +19,7 @@ from homalg.constructions import (
 from homalg.errors import InternalCheckFailure
 from homalg.fields import GF, QQ
 from homalg.homstruct import ac_two_sided, hu_t, twist_space
+from homalg.leibniz import hu_n_leibniz
 from homalg.linalg import Matrix, NullspaceSolver, Subspace, kernel
 from homalg.subspaces import find_unities
 
@@ -88,13 +90,18 @@ def _two_sided_cases():
     return [quaternions, unitalize(quaternions)[0], projection_tilde]
 
 
-def _wrong_formulas(a):
-    """The full space, the zero space, a line outside the true hu_n and,
-    where hu_n has dimension 2 or more, a proper subspace of it."""
+def _wrong_formulas(a, variant="two_sided"):
+    """The full space, the zero space, a line outside the true hu_n (of
+    ``variant``) and, where hu_n has dimension 2 or more, a proper subspace
+    of it."""
     f, n = a.field, a.dim
-    true = homstruct.hu_n(a, "two_sided")
-    outside = next(a.basis(i) for i in range(n) if not true.contains(a.basis(i)))
-    wrong = [Subspace.full(f, n), Subspace.zero(f, n), Subspace.from_rows(f, n, [outside])]
+    true = homstruct.hu_n(a, variant)
+    wrong = [Subspace.full(f, n), Subspace.zero(f, n)]
+    wrong += [
+        Subspace.from_rows(f, n, [a.basis(i)])
+        for i in range(n)
+        if not true.contains(a.basis(i))
+    ][:1]
     if true.dim >= 2:
         wrong.append(Subspace.from_rows(f, n, true.basis.rows[:1]))
     return [w for w in wrong if w != true]
@@ -213,6 +220,73 @@ def test_hu_t_on_the_unity_side_solves_no_twist_space(case):
     finally:
         clear_memo()
     assert hu == _reference_hu_t(a, side, reference_twist_space(a))
+
+
+def _sides_without_a_unity():
+    """``(algebra, side)`` with no unity on ``side``: the projection algebra
+    on the right and its opposite on the left, then both sides of the
+    algebras without any unity."""
+    corpus = dict(builtin_corpus() + generated_algebras(5))
+    projection = corpus["builtin/projection2"]
+    cases = [(projection, "right"), (opposite(projection), "left")]
+    for name in ("nil2", "cross_product", "leib2", "poly_t_deg6"):
+        cases += [(corpus[f"builtin/{name}"], side) for side in ("left", "right")]
+    cases += [(corpus["generated/0004-Q-d4-none"], side) for side in ("left", "right")]
+    return cases
+
+
+def test_sides_without_a_unity_have_none():
+    assert len(_sides_without_a_unity()) == 12
+    assert len(_one_sided_stop_cases()) == 16
+    assert all(find_unities(a, side).is_empty for a, side in _sides_without_a_unity())
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_hu_t_on_a_side_without_a_unity_solves_no_twist_space(case):
+    a, side = _sides_without_a_unity()[case]
+    clear_memo()
+    try:
+        hu = hu_t(a, side)
+        assert homstruct.twist_space.cache_info().misses == 0
+    finally:
+        clear_memo()
+    assert hu == _reference_hu_t(a, side, reference_twist_space(a))
+
+
+def test_leibniz_hom_unities_solve_no_twist_space():
+    leib2 = dict(builtin_corpus())["builtin/leib2"]
+    clear_memo()
+    try:
+        hu_n_leibniz(leib2)
+        assert homstruct.twist_space.cache_info().misses == 0
+    finally:
+        clear_memo()
+
+
+def _one_sided_stop_cases():
+    """``(algebra, side)``: the left-only algebra and its opposite on both
+    sides, and the sides without a unity."""
+    left_only = random_algebra(GeneratorConfig(seed=13, dim=2, field=QQ, flag="left_unital"))
+    cases = [(b, side) for b in (left_only, opposite(left_only)) for side in ("left", "right")]
+    return cases + _sides_without_a_unity()
+
+
+@pytest.mark.parametrize("case", range(16))
+def test_wrong_one_sided_hu_n_cannot_fool_the_certified_stop(case, monkeypatch):
+    a, side = _one_sided_stop_cases()[case]
+    reference = _reference_hu_t(a, side, reference_twist_space(a))
+    clear_memo()
+    wrong = _wrong_formulas(a, side)
+    assert len(wrong) >= 2
+    try:
+        for w in wrong:
+            clear_memo()
+            monkeypatch.setattr(homstruct, "hu_n", lambda a, variant="two_sided", w=w: w)
+            assert hu_t(a, side) == reference
+            monkeypatch.undo()
+    finally:
+        clear_memo()
+    assert hu_t(a, side) == reference
 
 
 @pytest.mark.parametrize("case", range(7))
