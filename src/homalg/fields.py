@@ -13,6 +13,13 @@ of wrapper objects keeps the elimination loops fast.
   ``hash(Fraction(3)) == hash(3)``, equality, hashing and ``format`` do not
   depend on which type holds a value.
 - Over F_p a scalar is an ``int`` residue in ``[0, p)``.
+
+The methods act on one pair of scalars.  The product loops of ``algebra``,
+``linalg`` and ``homstruct`` do not call them per term: they accumulate raw
+scalars with native ``+`` and ``*`` and reduce each result entry once, with
+``% p`` where ``char`` is nonzero (``linalg.reduced``).  That is exact, since
+Z -> Z/p is a ring map, and over Q ``add`` and ``mul`` already are ``+`` and
+``*``.
 """
 
 from __future__ import annotations

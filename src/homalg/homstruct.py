@@ -123,8 +123,12 @@ def _product_rows(f, n: int, table, prod, cache: dict) -> tuple:
             for t, c in prod:
                 for m, v in table[t][q]:
                     row = acc[m]
-                    v = f.mul(c, v)
-                    row[q] = f.add(row[q], v) if q in row else v
+                    row[q] = row[q] + c * v if q in row else c * v
+        p = f.char
+        if p:
+            for row in acc:
+                for q in row:
+                    row[q] %= p
         rows = cache[prod] = tuple(tuple(e for e in r.items() if e[1]) for r in acc)
     return rows
 
@@ -333,7 +337,13 @@ def ac_one_sided(a: Algebra, side: str = "left") -> AcOneSided:
 @lru_cache(maxsize=32)
 def hu_n(a: Algebra, variant: str = "two_sided") -> Subspace:
     """Formula-defined hom-unity subspaces (meets of center/centralizer,
-    nuclei, and annihilators of the associator span)."""
+    nuclei, and annihilators of the associator span).
+
+    Where the centralizer of the products is the center (as when A^2 = A,
+    on every unital algebra) a one-sided variant is the two-sided one: a
+    central x in the left and middle nuclei is in the right one, since
+    (a, b, x) = (ab)x - a(bx) = (xa)b - (ax)b = 0, symmetrically on the
+    right, and x b = b x makes the two annihilator conditions one."""
     assoc_span = sub.span_of(a, "associators")
     if variant == "two_sided":
         return meet(
@@ -343,8 +353,11 @@ def hu_n(a: Algebra, variant: str = "two_sided") -> Subspace:
         )
     if variant not in ("left", "right"):
         raise ValueError(f"unknown variant {variant!r}")
+    commuting = sub.centralizer(a, sub.span_of(a, "products"))
+    if commuting == sub.center(a):
+        return hu_n(a, "two_sided")
     return meet(
-        sub.centralizer(a, sub.span_of(a, "products")),
+        commuting,
         sub.nucleus(a, variant),
         sub.nucleus(a, "middle"),
         sub.annihilator(a, assoc_span, variant),

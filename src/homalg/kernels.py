@@ -39,13 +39,21 @@ Contracts
     is kept reduced with its pivot column c and ``−1/x_c mod p``; one
     elimination step is one multiply-add over the whole word, ``x +
     ((−x_c/lead) mod p)·pivot``, which adds at most (p−1)² to a slot.  A
-    vector is reduced mod p, by one ``array('Q')`` round trip, only if a
-    pivot row updated it or a slot holds p or more.  Its nonzero remainder
-    becomes a pivot row; the pass stops at rank ``nslots``.  Exact while
-    ``packed_fits(nslots, p)``: 2·nslots·(p−1)² < 2^64, so that a slot, at
-    most nslots·(p−1)² plus (nslots−1)(p−1)² from the pivot rows, never
-    carries into the next.  ``pack(values)`` makes a word from values below
-    2^64, value k in slot k.
+    vector is reduced mod p only if a pivot row updated it or a slot holds p
+    or more.  Its nonzero remainder becomes a pivot row; the pass stops at
+    rank ``nslots``.  Exact while ``packed_fits(nslots, p)``: 2·nslots·(p−1)²
+    < 2^64, so that a slot, at most nslots·(p−1)² plus (nslots−1)(p−1)² from
+    the pivot rows, never carries into the next.  ``pack(values)`` makes a
+    word from values below 2^64, value k in slot k.
+
+    The reduction is in place, on the whole word, while ⌊2^s/p⌋·2·nslots·
+    (p−1)² < 2^64, with 2^s the least power of two above 2·nslots·(p−1)²:
+    one Barrett step ``x − (((x·⌊2^s/p⌋) >> s) & keep)·p``, ``keep`` the low
+    64 − s bits of every slot, leaves each slot in [0, 2p) (the bound keeps
+    the slots of the product apart), and p is subtracted from the slots that
+    the top-bit test finds at p or more.  That holds for every p below 2^18
+    at 16 slots and for 32749 and 65521 up to 64 slots; a larger modulus
+    reduces by one ``array('Q')`` round trip instead.
 """
 
 from array import array
@@ -216,6 +224,12 @@ def packed_rank(vectors, nslots, p):
     # a slot v < 2**63 is p or more iff v + 2**63 - p sets its top bit
     low = ((1 << 63) - p) * ones
     high = ones << 63
+    # Barrett: a slot v < top < 2**s leaves v - ((v*m) >> s)*p in [0, 2p)
+    top = 2 * nslots * (p - 1) ** 2
+    s = top.bit_length()
+    m = (1 << s) // p
+    in_place = m * top < 1 << 64  # no slot of x*m carries into the next
+    keep = (_WORD >> s) * ones  # the quotient bits of each slot of x*m >> s
     pivots = []
     for x in vectors:
         dirty = (x + low) & high
@@ -227,7 +241,11 @@ def packed_rank(vectors, nslots, p):
                     x += b * row
                     dirty = True
         if dirty:
-            x = pack(map(reduce, array("Q", x.to_bytes(nbytes, "little"))))
+            if in_place:
+                x -= (((x * m) >> s) & keep) * p
+                x -= (((x + low) & high) >> 63) * p  # a slot p or more
+            else:
+                x = pack(map(reduce, array("Q", x.to_bytes(nbytes, "little"))))
         if x:
             shift = ((x & -x).bit_length() - 1) & -64  # the lowest nonzero slot
             pivots.append((shift, p - pow((x >> shift) & _WORD, -1, p), x))

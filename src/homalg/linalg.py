@@ -7,13 +7,20 @@ no floating point anywhere in this package.
 
 Vectors are plain tuples of raw scalars: over Q an ``int`` for an integral
 rational and a ``Fraction`` otherwise, over F_p an ``int`` residue; see
-``fields`` for the scalar conventions.  Q rows are eliminated as integer rows,
-and the canonical RREF turns back into rationals only where a pivot does not
-divide an entry.  ``NullspaceSolver`` is the one elimination driver: every
-RREF, span and nullspace here is read off one.  ``nullspace`` is the one
-loop that feeds it a constraint family: rows are drawn from an iterable until
-full rank, or until the rank leaves room only for a kernel part the caller
-already knows, so a lazy family never builds the rows past that point.
+``fields`` for the scalar conventions.  Products reduce once per result:
+``Matrix.apply``, ``Matrix.matmul`` and ``combine`` sum native products of
+raw scalars and hand each output vector to ``reduced`` (or its sparse form
+``reduced_entries``), which takes every entry mod p over F_p.  A ``Matrix``
+keeps F_p entries as given, so its products are residues even where its
+entries are not.
+
+Q rows are eliminated as integer rows, and the canonical RREF turns back into
+rationals only where a pivot does not divide an entry.  ``NullspaceSolver``
+is the one elimination driver: every RREF, span and nullspace here is read
+off one.  ``nullspace`` is the one loop that feeds it a constraint family:
+rows are drawn from an iterable until full rank, or until the rank leaves room
+only for a kernel part the caller already knows, so a lazy family never builds
+the rows past that point.
 Caller input (``rref``, ``solve_affine``, ``Subspace.from_rows``) is read
 whole and checked row by row instead.  ``is_injective`` is the one other
 caller of ``kernels``: a yes/no rank question needs only a modular rank, for
@@ -61,6 +68,23 @@ def vec_sub(field: Field, u, v):
 
 def vec_scale(field: Field, lam, u):
     return tuple(field.mul(lam, a) for a in u)
+
+
+def reduced(field: Field, acc) -> tuple:
+    """``acc``, native sums of products of raw scalars, as a vector over
+    ``field``: over F_p each entry reduced mod p, once (none if all are
+    zero); over Q as it is."""
+    p = field.char
+    return tuple([v % p for v in acc]) if p and any(acc) else tuple(acc)
+
+
+def reduced_entries(field: Field, acc) -> tuple:
+    """The nonzero entries of ``reduced(field, acc)`` as ``(index, value)``
+    pairs, in one pass."""
+    p = field.char
+    if p:
+        return tuple([(m, v % p) for m, v in enumerate(acc) if v % p])
+    return tuple([(m, v) for m, v in enumerate(acc) if v])
 
 
 def vec_is_zero(u) -> bool:
@@ -176,8 +200,8 @@ class Matrix:
                 for j in range(ocols):
                     b = orow[j]
                     if b:
-                        acc[j] = f.add(acc[j], f.mul(a, b))
-            out.append(acc)
+                        acc[j] += a * b
+            out.append(reduced(f, acc))
         return Matrix(f, out)
 
     __matmul__ = matmul
@@ -192,9 +216,9 @@ class Matrix:
             s = f.zero
             for a, x in zip(row, vec):
                 if a and x:
-                    s = f.add(s, f.mul(a, x))
+                    s += a * x
             out.append(s)
-        return tuple(out)
+        return reduced(f, out)
 
     def flatten(self) -> tuple:
         """Row-major flattening, used to view n x n maps as n^2 vectors."""
@@ -226,8 +250,8 @@ def combine(field: Field, n: int, cols, pairs) -> tuple:
     acc = [field.zero] * n
     for m, c in pairs:
         for q, v in cols[m]:
-            acc[q] = field.add(acc[q], field.mul(c, v))
-    return tuple(acc)
+            acc[q] += c * v
+    return reduced(field, acc)
 
 
 def unflatten_matrix(field: Field, n: int, vec) -> Matrix:

@@ -34,6 +34,7 @@ from homalg.constructions import (
     random_algebra,
     random_linear_map,
     truncated_poly,
+    unitalize,
 )
 from homalg.errors import (
     DimensionMismatch,
@@ -179,6 +180,60 @@ def test_hu_n_one_sided_variants(proj2):
     right = hu_n(proj2, "right")
     two = hu_n(proj2, "two_sided")
     assert meet(left, right).contains_subspace(two)
+
+
+def _hu_n_meet(a, side):
+    """hu_n(a, side) as its defining four-way meet."""
+    return meet(
+        subspaces.centralizer(a, span_of(a, "products")),
+        subspaces.nucleus(a, side),
+        subspaces.nucleus(a, "middle"),
+        subspaces.annihilator(a, span_of(a, "associators"), side),
+    )
+
+
+def _hu_n_corpus():
+    """The campaign corpus with 200 generated algebras, their
+    unitalizations and 360 random GF(2)/GF(3) algebras of every flag, each
+    with its opposite: 1,560 algebras."""
+    base = builtin_corpus() + generated_algebras(200)
+    base += [(f"{name}/unitalized", unitalize(a)[0]) for name, a in base]
+    for p in (2, 3):
+        for flag in ("none", "left_unital", "commutative", "anticommutative"):
+            for seed in range(45):
+                cfg = GeneratorConfig(seed=seed, dim=1 + seed % 4, field=GF(p), flag=flag)
+                base.append((f"random/F{p}-{seed}-{flag}", random_algebra(cfg)))
+    return [
+        (label, b)
+        for name, a in base
+        for label, b in ((name, a), (f"{name}/opposite", opposite(a)))
+    ]
+
+
+def test_hu_n_one_sided_matches_the_meet():
+    corpus = _hu_n_corpus()
+    assert len(corpus) == 1560
+    collapsed = 0
+    for name, a in corpus:
+        central = subspaces.centralizer(a, span_of(a, "products")) == center(a)
+        collapsed += central
+        for side in ("left", "right"):
+            assert hu_n(a, side) == _hu_n_meet(a, side), (name, side)
+            if central:
+                assert hu_n(a, side) == hu_n(a, "two_sided"), (name, side)
+    assert 0 < collapsed < len(corpus)
+
+
+def test_hu_n_one_sided_on_two_sided_unital_runs_no_meet(monkeypatch, quaternions):
+    clear_memo()
+    unital = unitalize(generated_algebras(3)[2][1])[0]
+    for a in (quaternions, unital):
+        two = hu_n(a, "two_sided")
+        calls = []
+        monkeypatch.setattr(homstruct, "meet", lambda *s: calls.append(s) or meet(*s))
+        assert (hu_n(a, "left"), hu_n(a, "right")) == (two, two)
+        assert calls == []
+        monkeypatch.undo()
 
 
 # -- ac --------------------------------------------------------------------------------

@@ -198,6 +198,59 @@ def test_packed_rank_matches_rref_fp():
     assert kernels.packed_rank([0, 0], 0, 5) == 0
 
 
+def _benchmark_shapes(rng, nslots, p):
+    """(label, rows) over F_p with exactly ``nslots`` columns: tall, square,
+    rank deficient (scalar multiples of a few rows) and wide."""
+    def rand(nrows):
+        return [[rng.randrange(p) for _ in range(nslots)] for _ in range(nrows)]
+
+    yield "tall", rand(nslots + 3)
+    yield "square", rand(nslots)
+    base = rand(nslots // 3)
+    yield "deficient", [[v * rng.randrange(1, p) % p for v in rng.choice(base)] for _ in range(nslots)]
+    yield "wide", rand(nslots // 2)
+
+
+def _top_words(rows, p):
+    """``rows`` as packed words, each entry raised by a multiple of p to the
+    largest value the contract allows, nslots·(p−1)² or just below."""
+    top = len(rows[0]) * (p - 1) ** 2
+    return [kernels.pack([v + p * ((top - v) // p) for v in row]) for row in rows]
+
+
+def test_packed_rank_at_the_benchmark_shapes():
+    # the sedenion operators are 16 slots; 32 doubles them
+    rng = random.Random(1629)
+    for nslots in (16, 32):
+        for p in (2, 3, 32749, 65521):
+            for _ in range(3):
+                for label, rows in _benchmark_shapes(rng, nslots, p):
+                    want = len(kernels.rref_fp(rows, p)[1])
+                    for words in (
+                        [kernels.pack(r) for r in rows],
+                        _lifted_words(rng, rows, p),
+                        _top_words(rows, p),
+                    ):
+                        assert kernels.packed_rank(words, nslots, p) == want, (nslots, p, label)
+
+
+def test_packed_rank_on_each_side_of_the_in_place_bound(monkeypatch):
+    # at 16 slots a slot is reduced in place for p below 2**18 and by the
+    # array round trip (one more ``pack`` per reduced vector) above it
+    rng = random.Random(18)
+    packs = []
+    pack = kernels.pack
+    monkeypatch.setattr(kernels, "pack", lambda values: packs.append(1) or pack(values))
+    for p, round_trips in ((262139, False), (262147, True)):  # primes around 2**18
+        assert kernels.packed_fits(16, p)
+        for label, rows in _benchmark_shapes(rng, 16, p):
+            want = len(kernels.rref_fp(rows, p)[1])
+            for words in (_lifted_words(rng, rows, p), _top_words(rows, p)):
+                packs.clear()
+                assert kernels.packed_rank(words, 16, p) == want, (p, label)
+                assert (len(packs) > 1) == round_trips, (p, label)
+
+
 def test_packed_rank_at_the_slot_bound(monkeypatch):
     p = 1073741789  # the largest prime below 2**30
     assert kernels.packed_fits(8, p) and not kernels.packed_fits(9, p)
