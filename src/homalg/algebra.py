@@ -380,8 +380,9 @@ def triple_defects(field: Field, n: int, prods, left, right):
     ``twisted_ops`` tables of t and ``prods = terms``, u - v is
     (e_i e_j) t(e_k) - t(e_i) (e_j e_k).  A triple whose two products are
     empty is never visited (u = v = 0).  One sparse accumulator measured
-    faster than two ``combine`` calls and a ``vec_sub``; it sums natively and
-    is reduced mod p only if the unreduced sums are not all zero."""
+    faster than two ``combine`` calls and a ``vec_sub``; over F_p an entry is
+    reduced as each term reaches it, as a triple touches few of the n."""
+    p = field.char
     every = range(n)
     nonempty = [[k for k in every if prods[j][k]] for j in every]
     for i in every:
@@ -392,15 +393,13 @@ def triple_defects(field: Field, n: int, prods, left, right):
                 cols = right[k]
                 for m, c in pij:
                     for q, v in cols[m]:
-                        acc[q] += c * v
+                        acc[q] = (acc[q] + c * v) % p if p else acc[q] + c * v
                 cols = left[i]
                 for m, c in prods[j][k]:
                     for q, v in cols[m]:
-                        acc[q] -= c * v
+                        acc[q] = (acc[q] - c * v) % p if p else acc[q] - c * v
                 if any(acc):
-                    acc = reduced(field, acc)
-                    if any(acc):
-                        yield (i, j, k), acc
+                    yield (i, j, k), tuple(acc)
 
 
 class HomAlgebra:

@@ -177,10 +177,13 @@ def ac_unitalized_by_eigenspaces(a: Algebra) -> Subspace:
         raise InternalCheckFailure(
             "eigenspace route disagrees with the unitalization computation"
         )
-    if tilde.is_associative() and got != subspaces.center(tilde):
-        raise InternalCheckFailure(
-            "associative unitalization must have its center as multiplier space"
-        )
+    if tilde.is_associative():
+        # center(tilde) is center(a) plus the unity: (b, lam) is central iff b is
+        center = [r + (field.zero,) for r in subspaces.center(a).basis.rows]
+        if got != Subspace.from_rows(field, n + 1, [*center, unity]):
+            raise InternalCheckFailure(
+                "associative unitalization must have its center as multiplier space"
+            )
 
     # kernel of (b, mu) -> mu must be the embedded hom-unity subspace: got's
     # complement rows plus the one row mu = 0
@@ -219,9 +222,8 @@ def ac_unitalized_by_eigenspaces(a: Algebra) -> Subspace:
 def yau_twist(a: Algebra, alpha: Matrix) -> HomAlgebra:
     """Replace the product by alpha o product, twisted by alpha."""
     check_twist(a, alpha)
-    tensor = [
-        [alpha.apply(a.products[i][j]) for j in range(a.dim)] for i in range(a.dim)
-    ]
+    cols = sparse_columns(alpha)
+    tensor = [[combine(a.field, a.dim, cols, t) for t in row] for row in a.terms]
     return HomAlgebra(Algebra(a.field, tensor, labels=a.labels), alpha)
 
 
@@ -229,26 +231,22 @@ def yau_criterion(a: Algebra, alpha: Matrix):
     """(bool, witness): whether the twisted product is hom-associative,
     decided by the closed condition alpha(alpha(xy) alpha(z) - alpha(x)
     alpha(yz)) = 0 on basis triples, the first failing triple in
-    lexicographic order as the witness.  The table alpha(e_i e_j) is built
-    once (n^2 applications of alpha, through its sparse columns) and scanned
-    by ``triple_defects`` with the ``twisted_ops`` tables of alpha; the
-    witness is the first defect that alpha does not kill.  Cross-checked
-    against the direct hom-associativity scan of the twisted algebra."""
+    lexicographic order as the witness.  The table alpha(e_i e_j) is the
+    ``terms`` of the ``yau_twist`` algebra, scanned by ``triple_defects``
+    with the ``twisted_ops`` tables of alpha on ``a``; the witness is the
+    first defect that alpha does not kill.  Cross-checked against the direct
+    hom-associativity scan of the twisted algebra."""
+    twisted = yau_twist(a, alpha)
     left, right = twisted_ops(a, alpha)
     f = a.field
     n = a.dim
-    terms = a.terms
     cols = sparse_columns(alpha)
-    image = [
-        [sparse_entries(combine(f, n, cols, terms[i][j])) for j in range(n)]
-        for i in range(n)
-    ]
-    defects = triple_defects(f, n, image, left, right)
+    defects = triple_defects(f, n, twisted.base.terms, left, right)
     witness = next(
         (t for t, d in defects if any(combine(f, n, cols, sparse_entries(d)))), None
     )
     holds = witness is None
-    if holds != yau_twist(a, alpha).is_hom_associative():
+    if holds != twisted.is_hom_associative():
         raise InternalCheckFailure(
             "twist criterion disagrees with the direct hom-associativity scan"
         )

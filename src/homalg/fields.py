@@ -17,9 +17,9 @@ of wrapper objects keeps the elimination loops fast.
 The methods act on one pair of scalars.  The product loops of ``algebra``,
 ``linalg`` and ``homstruct`` do not call them per term: they accumulate raw
 scalars with native ``+`` and ``*`` and reduce each result entry once, with
-``% p`` where ``char`` is nonzero (``linalg.reduced``).  That is exact, since
-Z -> Z/p is a ring map, and over Q ``add`` and ``mul`` already are ``+`` and
-``*``.
+``% p`` where ``char`` is nonzero (``linalg.reduced``; per term in the sparse
+``algebra.triple_defects``).  That is exact, since Z -> Z/p is a ring map,
+and over Q ``add`` and ``mul`` already are ``+`` and ``*``.
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ side solves these rows projected onto x -> L_x (or R_x) in n unknowns, with
 scan.  With a left unity e every twist is alpha = L_{alpha(e)}
 (R_{alpha(f)} at a right unity f), so the twist space is the image of that
 kernel; without a unity the rows are solved in the n^2 twist entries.  Only
-``twist_space`` asks whether a unity exists.  Every meet is one
-stacked solve, and a test that an operator is injective is one packed
-modular rank pass (``linalg.is_injective``; for L_x and R_x,
+``twist_space`` asks whether a unity exists.  Every meet (and two-sided
+``hu_n``) is one stacked solve, and a test that an operator is injective is
+one packed modular rank pass (``linalg.is_injective``; for L_x and R_x,
 ``Algebra.op_is_injective``, which builds no matrix).  ``ac_l_subspace`` is
 defined by a(xy) = x(ay) and (ax)(yz) = a((xy)z); the first on the pair
 (xy, z) gives a((xy)z) = (xy)(az), so given the first the second says that
@@ -42,7 +42,7 @@ from __future__ import annotations
 import random
 from array import array
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, islice, product
 
 from homalg.algebra import Algebra, FrozenRecord, HomAlgebra, Record, max_dim, triple_defects
 from homalg.algebra import is_idempotent_elem, is_idempotent_map, twisted_ops
@@ -339,29 +339,41 @@ def hu_n(a: Algebra, variant: str = "two_sided") -> Subspace:
     """Formula-defined hom-unity subspaces (meets of center/centralizer,
     nuclei, and annihilators of the associator span).
 
-    Where the centralizer of the products is the center (as when A^2 = A,
-    on every unital algebra) a one-sided variant is the two-sided one: a
-    central x in the left and middle nuclei is in the right one, since
-    (a, b, x) = (ab)x - a(bx) = (xa)b - (ax)b = 0, symmetrically on the
-    right, and x b = b x makes the two annihilator conditions one."""
-    assoc_span = sub.span_of(a, "associators")
+    Two-sided: one ``nullspace``, whose kernel is the meet of its row
+    families' kernels, drawn lazily until full rank: x w = 0 for the first
+    associator value w, x e_b = e_b x, x w = 0 for the other values, then
+    the left and middle nuclei on the blocks holding a stored associator.
+    For a central x, (a, b, x) = (a, x, b) - (x, a, b) gives the right
+    nucleus; so where the centralizer of the products is the center (as
+    when A^2 = A) a one-sided variant is the two-sided one."""
     if variant == "two_sided":
-        return meet(
-            sub.center(a),
-            sub.nucleus(a, "full"),
-            sub.annihilator(a, assoc_span, "left"),
+        assoc = a.associators
+        values = _first_seen(assoc.values())
+        rows = chain(
+            sub.operator_rows(islice(values, 1), a.right_op),
+            sub.operator_rows(Subspace.full(a.field, a.dim).basis.rows, a.right_op, a.left_op),
+            sub.operator_rows(values, a.right_op),
+            sub.slot_rows(a, "left", _first_seen((j, k) for _, j, k in assoc)),
+            sub.slot_rows(a, "middle", _first_seen((i, k) for i, _, k in assoc)),
         )
+        return nullspace(a.field, a.dim, rows)
     if variant not in ("left", "right"):
         raise ValueError(f"unknown variant {variant!r}")
-    commuting = sub.centralizer(a, sub.span_of(a, "products"))
-    if commuting == sub.center(a):
+    products = sub.span_of(a, "products")
+    if products.is_full() or sub.centralizer(a, products) == sub.center(a):
         return hu_n(a, "two_sided")
     return meet(
-        commuting,
+        sub.centralizer(a, products),
         sub.nucleus(a, variant),
         sub.nucleus(a, "middle"),
-        sub.annihilator(a, assoc_span, variant),
+        sub.annihilator(a, sub.span_of(a, "associators"), variant),
     )
+
+
+def _first_seen(items):
+    """``items`` without repeats, lazily."""
+    seen = set()
+    return (x for x in items if not (x in seen or seen.add(x)))
 
 
 def ac_two_sided(a: Algebra) -> Subspace:

@@ -57,6 +57,7 @@ Contracts
 """
 
 from array import array
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -217,19 +218,25 @@ def pack(values):
     return int.from_bytes(array("Q", values), "little")
 
 
-def packed_rank(vectors, nslots, p):
-    nbytes = 8 * nslots
-    reduce = p.__rmod__
+@lru_cache(maxsize=64)
+def _packed_constants(nslots, p):
+    """``(low, high, m, s, keep)`` of ``packed_rank``, m = 0 where the
+    reduction takes the ``array('Q')`` round trip."""
     ones = pack([1] * nslots)
-    # a slot v < 2**63 is p or more iff v + 2**63 - p sets its top bit
-    low = ((1 << 63) - p) * ones
-    high = ones << 63
     # Barrett: a slot v < top < 2**s leaves v - ((v*m) >> s)*p in [0, 2p)
     top = 2 * nslots * (p - 1) ** 2
     s = top.bit_length()
     m = (1 << s) // p
-    in_place = m * top < 1 << 64  # no slot of x*m carries into the next
     keep = (_WORD >> s) * ones  # the quotient bits of each slot of x*m >> s
+    in_place = m * top < 1 << 64  # no slot of x*m carries into the next
+    # a slot v < 2**63 is p or more iff v + 2**63 - p sets its top bit
+    return ((1 << 63) - p) * ones, ones << 63, m if in_place else 0, s, keep
+
+
+def packed_rank(vectors, nslots, p):
+    nbytes = 8 * nslots
+    reduce = p.__rmod__
+    low, high, m, s, keep = _packed_constants(nslots, p)
     pivots = []
     for x in vectors:
         dirty = (x + low) & high
@@ -241,7 +248,7 @@ def packed_rank(vectors, nslots, p):
                     x += b * row
                     dirty = True
         if dirty:
-            if in_place:
+            if m:
                 x -= (((x * m) >> s) & keep) * p
                 x -= (((x + low) & high) >> 63) * p  # a slot p or more
             else:

@@ -5,19 +5,20 @@ Every "for all x in S" condition is imposed on a basis of S only; bilinearity
 or trilinearity of the defining operator makes this exact.  Nuclei and the
 associator span read the nonzero basis associators ``a.associators``, a
 missing triple being a zero associator.  A one-identity solve is one
-``linalg.nullspace`` over its constraint blocks, each block built only when
-the solve reaches it; a slot nucleus passes the span of its unities as a
-known part of the kernel, so its solve stops once nothing else can fit.  The
-full nucleus and the two-sided annihilator are meets of such solves.  The
-subspace and unity solvers are memoized per argument value in bounded lru
-caches, so their results must stay immutable.
+``linalg.nullspace`` over ``operator_rows`` or ``slot_rows`` (which
+``homstruct.hu_n`` stacks), each block built when the solve reaches it; a
+slot nucleus passes the span of its unities as a known part of the kernel,
+so its solve stops once nothing else can fit.  The full nucleus and the
+two-sided annihilator are meets of such solves.  The subspace and unity
+solvers are memoized per argument value in bounded lru caches, so their
+results must stay immutable.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from fractions import Fraction
-from itertools import chain, combinations, product as iter_product
+from itertools import combinations, product as iter_product
 from math import isqrt, lcm
 
 from homalg.algebra import Algebra
@@ -48,12 +49,32 @@ def _check_subspace(a: Algebra, s: Subspace):
         raise DimensionMismatch(f"subspace ambient {s.ambient_dim} vs dim {a.dim}")
 
 
+def operator_rows(vectors, op, minus=None):
+    """For each b, the rows in x of op(b) x = 0, or of op(b) x = minus(b) x."""
+    for b in vectors:
+        yield from (op(b).sub(minus(b)) if minus else op(b)).rows
+
+
+def slot_rows(a: Algebra, slot: str, blocks):
+    """For each block (s, t), the rows in x of the ``slot`` nucleus: column c
+    the associator with e_c in the slot and e_s, e_t in the other two."""
+    get = a.associators.get
+    zero = a.zero()
+    cs = range(a.dim)
+    for s, t in blocks:
+        if slot == "left":
+            yield from zip(*[get((c, s, t), zero) for c in cs])
+        elif slot == "middle":
+            yield from zip(*[get((s, c, t), zero) for c in cs])
+        else:
+            yield from zip(*[get((s, t, c), zero) for c in cs])
+
+
 @lru_cache(maxsize=64)
 def centralizer(a: Algebra, s: Subspace) -> Subspace:
     """Elements commuting with everything in s."""
     _check_subspace(a, s)
-    blocks = (a.right_op(b).sub(a.left_op(b)).rows for b in s.basis.rows)
-    return nullspace(a.field, a.dim, chain.from_iterable(blocks))
+    return nullspace(a.field, a.dim, operator_rows(s.basis.rows, a.right_op, a.left_op))
 
 
 def center(a: Algebra) -> Subspace:
@@ -67,10 +88,8 @@ _SLOT_UNITIES = {"left": "left", "middle": "two_sided", "right": "right"}
 @lru_cache(maxsize=64)
 def nucleus(a: Algebra, slot: str = "full") -> Subspace:
     """Elements associating with all basis pairs in the given slot ("left",
-    "middle", "right") or in all three ("full", the meet of the three slot
-    nuclei).  Block (s, t) has column c the associator with e_c in the slot
-    and e_s, e_t in the other two, looked up in ``a.associators`` (zero
-    where the key is missing).
+    "middle", "right"; the ``slot_rows`` of every block) or in all three
+    ("full", the meet of the three slot nuclei).
 
     A slot's unities lie in its nucleus: the left unities in the left one,
     the right unities in the right one, the two-sided unities in the middle
@@ -82,19 +101,8 @@ def nucleus(a: Algebra, slot: str = "full") -> Subspace:
         raise ValueError(f"unknown slot {slot!r}")
     if slot == "full":
         return meet(*(nucleus(a, s) for s in ("left", "middle", "right")))
-    get = a.associators.get
-    zero = a.zero()
-    n = a.dim
-
-    def rows(s, t):
-        if slot == "left":
-            return zip(*(get((c, s, t), zero) for c in range(n)))
-        if slot == "middle":
-            return zip(*(get((s, c, t), zero) for c in range(n)))
-        return zip(*(get((s, t, c), zero) for c in range(n)))
-
-    blocks = (rows(s, t) for s in range(n) for t in range(n))
-    return nullspace(a.field, n, chain.from_iterable(blocks), _slot_unity_span(a, slot))
+    blocks = iter_product(range(a.dim), repeat=2)
+    return nullspace(a.field, a.dim, slot_rows(a, slot, blocks), _slot_unity_span(a, slot))
 
 
 def _slot_unity_span(a: Algebra, slot: str) -> Subspace | None:
@@ -147,8 +155,7 @@ def annihilator(a: Algebra, s: Subspace, side: str = "left") -> Subspace:
     if side == "both":
         return meet(annihilator(a, s, "left"), annihilator(a, s, "right"))
     op = a.right_op if side == "left" else a.left_op
-    blocks = (op(b).rows for b in s.basis.rows)
-    return nullspace(a.field, a.dim, chain.from_iterable(blocks))
+    return nullspace(a.field, a.dim, operator_rows(s.basis.rows, op))
 
 
 @lru_cache(maxsize=64)

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from homalg import homstruct, leibniz, subspaces
+from homalg import homstruct, kernels, leibniz, subspaces
 from homalg.algebra import Algebra
 from homalg.constructions import cayley_dickson_chain
 from homalg.fields import GF, QQ
@@ -27,6 +27,7 @@ MEMOIZED = (
     homstruct.hu_n,
     homstruct.ac_one_sided,
     leibniz.leibniz_check,
+    kernels._packed_constants,
 )
 
 

@@ -8,6 +8,7 @@ from itertools import product as iter_product
 import pytest
 
 from conftest import NIL2, qalg
+from homalg.algebra import Algebra
 from homalg.constructions import (
     GeneratorConfig,
     ac_unitalized_by_eigenspaces,
@@ -256,6 +257,23 @@ def test_yau_criterion_seeded_agreement():
         a = random_algebra(GeneratorConfig(seed=s, dim=dim, field=field, flag="none"))
         alpha = random_linear_map(field, dim, seed=1000 + s)
         yau_criterion(a, alpha)  # agreement enforced internally
+
+
+def test_yau_twist_constants_match_the_dense_product():
+    # alpha(e_i e_j) through the sparse columns of alpha equals the dense
+    # Matrix.apply, over Q with non-integral constants and over F_p with
+    # unreduced and negative twist entries
+    cases = [
+        (QQ, (F(1, 2), F(-3), F(0), F(2, 3)), (F(-1, 3), F(0), F(5, 2))),
+        (GF(7), (1, 6, 0, 0), (-1, 8, 20, 0, -13)),
+    ]
+    for field, pool, twist_pool in cases:
+        for s in range(12):
+            dim = 2 + s % 3
+            a = random_algebra(GeneratorConfig(seed=s, dim=dim, field=field, pool=pool))
+            alpha = random_linear_map(field, dim, seed=300 + s, pool=twist_pool)
+            dense = [[alpha.apply(a.products[i][j]) for j in range(dim)] for i in range(dim)]
+            assert yau_twist(a, alpha).base == Algebra(field, dense, labels=a.labels)
 
 
 # -- opposite --------------------------------------------------------------------------

@@ -277,3 +277,16 @@ def test_packed_rank_at_the_slot_bound(monkeypatch):
             assert is_injective(m) == kernel(m).is_zero()
     # past the bound at 9 columns only the echelon path runs
     assert calls == [8, 8]
+
+
+def test_packed_rank_computes_its_constants_once_per_shape():
+    # in place mod 65521 and by the array round trip mod 1000003 at 16 slots
+    rng = random.Random(116)
+    kernels._packed_constants.cache_clear()
+    for p in (65521, 1000003):
+        for label, rows in _benchmark_shapes(rng, 16, p):
+            want = len(kernels.rref_fp(rows, p)[1])
+            assert kernels.packed_rank(_lifted_words(rng, rows, p), 16, p) == want, (p, label)
+    info = kernels._packed_constants.cache_info()
+    assert (info.misses, info.hits) == (2, 6)
+    assert kernels._packed_constants(16, 65521)[2] and not kernels._packed_constants(16, 1000003)[2]
