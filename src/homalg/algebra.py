@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from array import array
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from homalg import kernels
@@ -90,6 +91,7 @@ class Algebra:
         "tensor",
         "labels",
         "_terms",
+        "_transposed_terms",
         "_associators",
         "_packed",
         "_hash",
@@ -120,6 +122,7 @@ class Algebra:
         if self.labels and len(self.labels) != n:
             raise InvariantViolation("label list length != dim")
         self._terms = None
+        self._transposed_terms = None
         self._associators = None
         self._packed = None
         self._hash = None
@@ -168,6 +171,14 @@ class Algebra:
                 tuple(sparse_entries(p) for p in row) for row in self.tensor
             )
         return self._terms
+
+    @property
+    def transposed_terms(self):
+        """transposed_terms[i][j] = terms[j][i], the terms of e_j e_i: the
+        table of the right operators.  Built once per algebra."""
+        if self._transposed_terms is None:
+            self._transposed_terms = tuple(zip(*self.terms))
+        return self._transposed_terms
 
     @property
     def associators(self):
@@ -245,7 +256,7 @@ class Algebra:
         f = self.field
         n = self.dim
         # table[i][j]: the terms of e_i e_j (left) or of e_j e_i (right)
-        table = self.terms if side == "left" else tuple(zip(*self.terms))
+        table = self.terms if side == "left" else self.transposed_terms
         xs = [(i, xi) for i, xi in enumerate(x) if xi]
         if not xs:
             return [()] * n  # a zero image: no accumulator to build
@@ -357,20 +368,37 @@ def check_twist(a: Algebra, twist: Matrix):
         )
 
 
+class _OpTable(dict):
+    """One side of the ``twisted_ops`` tables of a twist: ``table[i]`` is
+    ``op_columns(t(e_i), side)``, built the first time it is read and kept,
+    so a scan that stops early builds only the operators it read.  A read
+    after the first is a plain dict lookup."""
+
+    __slots__ = ("_algebra", "_images", "_side")
+
+    def __init__(self, a: Algebra, images, side: str):
+        super().__init__()
+        self._algebra = a
+        self._images = images
+        self._side = side
+
+    def __missing__(self, i):
+        cols = self[i] = self._algebra.op_columns(self._images[i], self._side)
+        return cols
+
+
 def twisted_ops(a: Algebra, twist: Matrix | None = None):
     """``(left, right)``: left[i][j] and right[i][j] are the sparse column j
     of L_{t(e_i)} and R_{t(e_i)}, ``(m, c)`` pairs as in ``terms``, so
     ``combine(f, n, left[i], terms[j][k])`` is t(e_i)(e_j e_k).  With no
-    twist (t the identity) they are ``terms`` and its transpose; a twist is
-    checked, then its images are read through ``op_columns``."""
+    twist (t the identity) they are ``terms`` and ``transposed_terms``; a
+    twist is checked, then each table is an ``_OpTable`` that reads the
+    images through ``op_columns`` on demand: index it, do not iterate it."""
     if twist is None:
-        return a.terms, tuple(zip(*a.terms))
+        return a.terms, a.transposed_terms
     check_twist(a, twist)
     images = [twist.column(i) for i in range(a.dim)]
-    return (
-        [a.op_columns(t, "left") for t in images],
-        [a.op_columns(t, "right") for t in images],
-    )
+    return _OpTable(a, images, "left"), _OpTable(a, images, "right")
 
 
 def triple_defects(field: Field, n: int, prods, left, right):
@@ -400,6 +428,15 @@ def triple_defects(field: Field, n: int, prods, left, right):
                         acc[q] = (acc[q] - c * v) % p if p else acc[q] - c * v
                 if any(acc):
                     yield (i, j, k), tuple(acc)
+
+
+@lru_cache(maxsize=256)
+def _hom_associativity_witness(a: Algebra, twist: Matrix):
+    """``HomAlgebra.hom_associativity_witness``, shared by every check that
+    scans the same map: the twist-space basis, the per-twist reports and
+    the relation tables."""
+    defects = triple_defects(a.field, a.dim, a.terms, *twisted_ops(a, twist))
+    return next((t for t, _ in defects), None)
 
 
 class HomAlgebra:
@@ -443,10 +480,8 @@ class HomAlgebra:
     def hom_associativity_witness(self):
         """Lexicographically first basis triple with nonzero hom-associator:
         the first key of ``triple_defects`` over ``terms`` and the twist's
-        ``twisted_ops`` tables."""
-        a = self.base
-        defects = triple_defects(a.field, a.dim, a.terms, *twisted_ops(a, self.twist))
-        return next((t for t, _ in defects), None)
+        ``twisted_ops`` tables, memoized per (algebra, twist) value."""
+        return _hom_associativity_witness(self.base, self.twist)
 
     def is_hom_associative(self) -> bool:
         return self.hom_associativity_witness() is None

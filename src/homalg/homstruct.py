@@ -32,9 +32,11 @@ is L_x of the opposite.  The solvers returning a subspace are memoized per
 algebra value in bounded lru caches, so each result must stay immutable: a
 Subspace or Matrix by convention, the records ``TwistSpace`` and
 ``AcOneSided`` (``algebra.FrozenRecord``) by a ``__setattr__`` that raises;
-nothing returning an Algebra is cached, because Algebra equality ignores the
-basis labels.  A unity passed in by a caller is checked by membership in the
-memoized ``find_unities`` set of its side.
+the relation rows as a tuple of pairs.  Nothing returning an Algebra is
+cached, because Algebra equality ignores the basis labels, except
+``_opposite``, whose only reader, the relation tables, reads none.  A unity
+passed in by a caller is checked by membership in the memoized
+``find_unities`` set of its side, on every call.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from itertools import chain, islice, product
 
 from homalg.algebra import Algebra, FrozenRecord, HomAlgebra, Record, max_dim, triple_defects
 from homalg.algebra import is_idempotent_elem, is_idempotent_map, twisted_ops
-from homalg.constructions import ac_unitalized_by_eigenspaces, opposite, opposite_hom
+from homalg.constructions import ac_unitalized_by_eigenspaces, opposite
 from homalg.errors import (
     InternalCheckFailure,
     NotTwoSidedUnital,
@@ -66,6 +68,7 @@ from homalg.linalg import (
     meet,
     nullspace,
     projective_key,
+    reduced,
     solve_affine,
     sparse_columns,
     sparse_entries,
@@ -230,22 +233,27 @@ def _op_family(a: Algebra):
     """``block(i, j)``: the n dense rows of x(e_i e_j) = e_i(x e_j) in x, entry
     (m, s) the e_m coefficient of e_s (e_i e_j) - e_i (e_s e_j), built from
     ``Algebra.terms`` on each call for ``_multiplier_space`` and kept by
-    nobody.  Only this closure is cached; the lru_cache stays so that the
-    clearable-cache contract (``perfbench/selftest.py``) still holds."""
+    nobody: native sums of raw products, each entry reduced once
+    (``linalg.reduced``).  Only this closure is cached; the lru_cache stays
+    so that the clearable-cache contract (``perfbench/selftest.py``) still
+    holds."""
     n = a.dim
     f = a.field
     terms = a.terms
 
     def block(i, j):
         rows = [[f.zero] * n for _ in range(n)]
+        pij = terms[i][j]
+        ti = terms[i]
         for s in range(n):
-            for t, c in terms[i][j]:
-                for m, v in terms[s][t]:
-                    rows[m][s] = f.add(rows[m][s], f.mul(c, v))
-            for t, c in terms[s][j]:
-                for m, v in terms[i][t]:
-                    rows[m][s] = f.sub(rows[m][s], f.mul(c, v))
-        return rows
+            ts = terms[s]
+            for t, c in pij:
+                for m, v in ts[t]:
+                    rows[m][s] += c * v
+            for t, c in ts[j]:
+                for m, v in ti[t]:
+                    rows[m][s] -= c * v
+        return [reduced(f, row) for row in rows]
 
     return block
 
@@ -442,26 +450,49 @@ def multiplicativity_report(h: HomAlgebra, unity, side: str = "left") -> dict:
     return report
 
 
+@lru_cache(maxsize=8)
+def _opposite(a: Algebra) -> Algebra:
+    """``constructions.opposite``, built once per algebra value for the
+    right-side relation tables, which read no basis label."""
+    return opposite(a)
+
+
 def relation_tables_check(h: HomAlgebra, unity, side: str = "left") -> dict:
     """Verifies every product relation of a one-sided unital hom-associative
     algebra on basis elements, the multiplier-element relations, and the
     associator transport identity.  Keys are side-relative: for the right
-    side the same identities are checked on the opposite algebra."""
-    if side == "right":
-        rep = relation_tables_check(opposite_hom(h), unity, "left")
-        return {**rep, "side": "right"}
-    if side != "left":
+    side the same identities are checked on the opposite algebra, which for
+    a commutative algebra is the algebra itself.  The preconditions are
+    checked on every call; the rows are ``_relation_rows``, memoized."""
+    if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
+    if side == "right":
+        h = HomAlgebra(_opposite(h.base), h.twist)
     wit = h.hom_associativity_witness()
     if wit is not None:
         raise PreconditionViolated(f"not hom-associative, witness triple {wit}")
     a = h.base
     if not sub.find_unities(a, "left").contains(unity):
         raise PreconditionViolated(f"not a left unity: {as_fractions(a.field, unity)}")
+    two_sided, rows = _relation_rows(h, tuple(unity))
+    rows = dict(rows)
+    return {
+        "side": side,
+        "two_sided_rows_included": two_sided,
+        "rows": rows,
+        "all_pass": all(rows.values()),
+    }
+
+
+@lru_cache(maxsize=32)
+def _relation_rows(h: HomAlgebra, one: tuple):
+    """``(two_sided_rows_included, ((row name, holds), ...))``: the left-side
+    relation rows of ``relation_tables_check`` for a hom-associative ``h``
+    and a left unity ``one`` of its base, memoized per value."""
+    a = h.base
     f = a.field
     n = a.dim
     tw = h.twist
-    one = tuple(unity)
     al = tw.apply(one)
     basis = a.basis_elements()
     idx = range(n)
@@ -595,12 +626,7 @@ def relation_tables_check(h: HomAlgebra, unity, side: str = "left") -> dict:
             mul(x, alpha(x)) == alpha(mul(x, x)) == mul(alpha(x), x)
             for x in sq_args
         )
-    return {
-        "side": "left",
-        "two_sided_rows_included": two_sided,
-        "rows": rows,
-        "all_pass": all(rows.values()),
-    }
+    return two_sided, tuple(rows.items())
 
 
 def bijection_report(a: Algebra, side: str = "left") -> dict:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from homalg import homstruct, kernels, leibniz, subspaces
+from homalg import algebra, homstruct, kernels, leibniz, subspaces
 from homalg.algebra import Algebra
 from homalg.constructions import cayley_dickson_chain
 from homalg.fields import GF, QQ
@@ -26,6 +26,9 @@ MEMOIZED = (
     homstruct.ac_r_subspace,
     homstruct.hu_n,
     homstruct.ac_one_sided,
+    homstruct._opposite,
+    homstruct._relation_rows,
+    algebra._hom_associativity_witness,
     leibniz.leibniz_check,
     kernels._packed_constants,
 )

@@ -188,16 +188,17 @@ def test_triple_defects_with_zero_and_elementary_twists():
         assert bool(found) == twisted
 
 
-class CountedTable(list):
-    """A table that counts its reads."""
+class CountedTable:
+    """A view of a table (a tuple, or an on-demand ``twisted_ops`` table)
+    that counts its reads."""
 
-    def __init__(self, items):
-        super().__init__(items)
+    def __init__(self, table):
+        self.table = table
         self.reads = 0
 
     def __getitem__(self, index):
         self.reads += 1
-        return super().__getitem__(index)
+        return self.table[index]
 
 
 @pytest.mark.parametrize("seed", [None, 0], ids=["identity", "random_twist"])
